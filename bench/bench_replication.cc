@@ -121,9 +121,12 @@ class TempDir {
 
 // Three replicated nodes joined by a clean transport — in-process by
 // default, or real loopback TCP (SocketTransport) so the shipment/ack
-// path can be priced with actual sockets in it. Storage is tuned so it
-// never stalls the measurement: no fsync, large segments, snapshots
-// effectively off.
+// path can be priced with actual sockets in it. Storage is tuned to stall
+// the measurement as little as it can: the leader's own journal never
+// fsyncs, segments are large and snapshots effectively off. Followers
+// still fsync every applied record before acking it (ReplicatedNode
+// always gives its FollowerApplier FsyncPolicy::kAlways), so a quorum
+// commit includes one follower fsync.
 struct Cluster {
   explicit Cluster(sws::replication::ReplicationOptions replication,
                    bool auto_failover = false, bool socket_transport = false)

@@ -1,28 +1,45 @@
 #include "logic/bytecode.h"
 
+#include <algorithm>
 #include <set>
 
 #include "util/common.h"
 
 namespace sws::logic::bytecode {
 
-JoinProgram Compile(const std::vector<Atom>& ordered,
-                    const std::vector<Comparison>& comparisons,
-                    const rel::Database& db) {
+namespace {
+
+/// A side condition to attach: filter `id`'s argument terms.
+struct FilterArgs {
+  uint32_t id;
+  const std::vector<Term>* args;
+};
+
+// Compile, plus the parameters and filters of PreparedJoin (see there).
+JoinProgram CompileWithFilters(const std::vector<Atom>& ordered,
+                               const std::vector<Comparison>& comparisons,
+                               const rel::Database& db,
+                               const std::vector<int>& params,
+                               const std::vector<FilterArgs>& filters) {
   JoinProgram program;
 
-  // Pass 1: assign variable registers in first-occurrence order (the
-  // same numbering the legacy JoinPlan gives its slots, which keeps the
-  // two paths easy to differential-test).
+  // Pass 1: registers for the parameters, then for the atoms' variables
+  // in first-occurrence order.
+  auto add_var = [&program](int var) {
+    if (program.var_reg.count(var) == 0) {
+      const int reg = static_cast<int>(program.var_reg.size());
+      program.var_reg.emplace(var, reg);
+    }
+  };
+  for (int var : params) add_var(var);
+  SWS_CHECK_EQ(program.var_reg.size(), params.size()) << "repeated parameter";
   for (const Atom& atom : ordered) {
     for (const Term& term : atom.args) {
-      if (term.is_var() && program.var_reg.count(term.var()) == 0) {
-        const int reg = static_cast<int>(program.var_reg.size());
-        program.var_reg.emplace(term.var(), reg);
-      }
+      if (term.is_var()) add_var(term.var());
     }
   }
   SWS_CHECK_LE(program.var_reg.size(), size_t{UINT16_MAX});
+  program.num_params = static_cast<uint16_t>(params.size());
   program.num_var_regs = static_cast<uint16_t>(program.var_reg.size());
 
   std::vector<rel::Value> constants;
@@ -48,10 +65,20 @@ JoinProgram Compile(const std::vector<Atom>& ordered,
       }
     }
   }
+  std::vector<bool> filter_attached(filters.size(), false);
 
-  // Pass 2: one Level per atom.
-  std::set<int> loaded;       // vars with their kLoad already emitted
-  std::set<int> bound_prior;  // vars bound at fully-compiled levels
+  // Pass 2: one Level per atom. Parameters are bound before level 0.
+  std::set<int> loaded(params.begin(), params.end());  // kLoad emitted
+  std::set<int> bound_prior = loaded;  // bound at fully-compiled levels
+  auto reg_of = [&](const Term& t, uint16_t* reg) {
+    if (t.is_const()) {
+      *reg = const_reg(t.value());
+      return true;
+    }
+    if (loaded.count(t.var()) == 0) return false;
+    *reg = static_cast<uint16_t>(program.var_reg.at(t.var()));
+    return true;
+  };
   for (const Atom& atom : ordered) {
     const rel::Relation* relation =
         db.Contains(atom.relation) ? &db.Get(atom.relation) : nullptr;
@@ -106,21 +133,26 @@ JoinProgram Compile(const std::vector<Atom>& ordered,
       if (attached[ci]) continue;
       const Comparison& c = comparisons[ci];
       uint16_t lhs, rhs;
-      if (c.lhs.is_var()) {
-        if (loaded.count(c.lhs.var()) == 0) continue;
-        lhs = static_cast<uint16_t>(program.var_reg.at(c.lhs.var()));
-      } else {
-        lhs = const_reg(c.lhs.value());
-      }
-      if (c.rhs.is_var()) {
-        if (loaded.count(c.rhs.var()) == 0) continue;
-        rhs = static_cast<uint16_t>(program.var_reg.at(c.rhs.var()));
-      } else {
-        rhs = const_reg(c.rhs.value());
-      }
+      if (!reg_of(c.lhs, &lhs) || !reg_of(c.rhs, &rhs)) continue;
       attached[ci] = true;
       program.ops.push_back(
           {c.is_equality ? Op::kCmpEq : Op::kCmpNe, lhs, rhs});
+    }
+    // Filters likewise, after the (cheaper) comparisons.
+    for (size_t fi = 0; fi < filters.size(); ++fi) {
+      if (filter_attached[fi]) continue;
+      FilterRef ref;
+      ref.id = filters[fi].id;
+      for (const Term& t : *filters[fi].args) {
+        uint16_t reg = 0;
+        if (!reg_of(t, &reg)) break;
+        ref.regs.push_back(reg);
+      }
+      if (ref.regs.size() != filters[fi].args->size()) continue;
+      filter_attached[fi] = true;
+      program.ops.push_back(
+          {Op::kFilter, static_cast<uint16_t>(program.filters.size()), 0});
+      program.filters.push_back(std::move(ref));
     }
     for (const Term& t : atom.args) {
       if (t.is_var()) bound_prior.insert(t.var());
@@ -130,6 +162,9 @@ JoinProgram Compile(const std::vector<Atom>& ordered,
     program.key_templates.push_back(std::move(key_template));
     program.levels.push_back(std::move(level));
   }
+  for (bool a : filter_attached) {
+    SWS_CHECK(a) << "filter over a variable no atom binds";
+  }
 
   program.reg_init.assign(program.num_var_regs, rel::Value());
   program.reg_init.insert(program.reg_init.end(), constants.begin(),
@@ -137,13 +172,411 @@ JoinProgram Compile(const std::vector<Atom>& ordered,
   return program;
 }
 
-bool HasMatch(const JoinProgram& p) {
+// Splits a body into connected components by shared variables:
+// comparisons and filters join the components of their variables;
+// parameters are pre-bound and join nothing.
+struct Components {
+  // Parallel vectors: one entry per component.
+  std::vector<std::vector<Atom>> atoms;
+  std::vector<std::vector<Comparison>> comparisons;
+  std::vector<std::vector<FilterArgs>> filters;
+  std::vector<bool> touches_head;
+  bool constant_comparison_failed = false;  // a const-vs-const check failed
+};
+
+Components SplitComponents(const std::vector<Atom>& body,
+                           const std::vector<Comparison>& comparisons,
+                           const std::vector<std::vector<Term>>& filters,
+                           const std::vector<Term>& head,
+                           const std::vector<int>& params) {
+  Components out;
+  const std::set<int> param_set(params.begin(), params.end());
+  auto is_free_var = [&param_set](const Term& t) {
+    return t.is_var() && param_set.count(t.var()) == 0;
+  };
+  // Union-find over the non-parameter variables.
+  std::map<int, int> parent;
+  std::function<int(int)> find = [&](int x) -> int {
+    auto it = parent.find(x);
+    if (it == parent.end()) {
+      parent.emplace(x, x);
+      return x;
+    }
+    if (it->second == x) return x;
+    int root = find(it->second);
+    it->second = root;  // path compression
+    return root;
+  };
+  auto unite_terms = [&](const std::vector<Term>& terms) {
+    int first = -1;
+    for (const Term& t : terms) {
+      if (!is_free_var(t)) continue;
+      if (first < 0) {
+        first = t.var();
+        find(first);
+      } else {
+        parent[find(first)] = find(t.var());
+      }
+    }
+  };
+  for (const Atom& a : body) unite_terms(a.args);
+  for (const Comparison& c : comparisons) unite_terms({c.lhs, c.rhs});
+  for (const auto& args : filters) unite_terms(args);
+
+  // Assign atoms/comparisons/filters to components keyed by variable
+  // roots; atoms without such variables each form their own component.
+  std::map<int, size_t> root_to_component;
+  auto new_component = [&out]() {
+    out.atoms.emplace_back();
+    out.comparisons.emplace_back();
+    out.filters.emplace_back();
+    out.touches_head.push_back(false);
+    return out.atoms.size() - 1;
+  };
+  auto component_of_var = [&](int var) {
+    auto [it, inserted] =
+        root_to_component.emplace(find(var), out.atoms.size());
+    if (inserted) new_component();
+    return it->second;
+  };
+  auto component_of_terms = [&](const std::vector<Term>& terms) {
+    for (const Term& t : terms) {
+      if (is_free_var(t)) return component_of_var(t.var());
+    }
+    return out.atoms.size();  // none
+  };
+  for (const Atom& a : body) {
+    size_t component = component_of_terms(a.args);
+    if (component == out.atoms.size()) component = new_component();
+    out.atoms[component].push_back(a);
+  }
+  for (const Comparison& c : comparisons) {
+    const size_t component = component_of_terms({c.lhs, c.rhs});
+    if (component != out.atoms.size()) {
+      out.comparisons[component].push_back(c);
+      continue;
+    }
+    SWS_CHECK(c.lhs.is_const() && c.rhs.is_const())
+        << "comparison over parameters only: " << c.ToString();
+    if ((c.lhs.value() == c.rhs.value()) != c.is_equality) {
+      out.constant_comparison_failed = true;
+    }
+  }
+  for (size_t fi = 0; fi < filters.size(); ++fi) {
+    const size_t component = component_of_terms(filters[fi]);
+    SWS_CHECK(component != out.atoms.size())
+        << "filter over parameters and constants only";
+    out.filters[component].push_back(
+        FilterArgs{static_cast<uint32_t>(fi), &filters[fi]});
+  }
+  for (const Term& t : head) {
+    // Safe bodies bind every head variable in some atom, so it has a
+    // component; an unsafe one fails at head resolution.
+    if (is_free_var(t)) out.touches_head[component_of_var(t.var())] = true;
+  }
+  return out;
+}
+
+}  // namespace
+
+JoinProgram Compile(const std::vector<Atom>& ordered,
+                    const std::vector<Comparison>& comparisons,
+                    const rel::Database& db) {
+  return CompileWithFilters(ordered, comparisons, db, {}, {});
+}
+
+std::vector<Atom> OrderAtomsGreedily(const std::vector<Atom>& body,
+                                     const rel::Database& db,
+                                     const std::vector<int>& params) {
+  std::vector<Atom> ordered;
+  std::vector<bool> used(body.size(), false);
+  std::set<int> bound(params.begin(), params.end());
+  auto relation_size = [&db](const Atom& a) -> size_t {
+    if (!db.Contains(a.relation)) return 0;  // matches nothing: run it first
+    const rel::Relation& r = db.Get(a.relation);
+    return r.arity() == a.args.size() ? r.size() : 0;
+  };
+  for (size_t step = 0; step < body.size(); ++step) {
+    size_t best = body.size();
+    int best_bound = -1;
+    size_t best_size = 0;
+    for (size_t i = 0; i < body.size(); ++i) {
+      if (used[i]) continue;
+      int bound_args = 0;
+      for (const Term& t : body[i].args) {
+        if (t.is_const() || (t.is_var() && bound.count(t.var()) > 0)) {
+          ++bound_args;
+        }
+      }
+      size_t size = relation_size(body[i]);
+      if (best == body.size() || bound_args > best_bound ||
+          (bound_args == best_bound && size < best_size)) {
+        best = i;
+        best_bound = bound_args;
+        best_size = size;
+      }
+    }
+    used[best] = true;
+    for (const Term& t : body[best].args) {
+      if (t.is_var()) bound.insert(t.var());
+    }
+    ordered.push_back(body[best]);
+  }
+  return ordered;
+}
+
+bool HasMatch(const JoinProgram& p, const Inputs& in) {
   bool found = false;
-  Run(p, [&found](const std::vector<rel::Value>&) {
-    found = true;
-    return false;  // one witness suffices
-  });
+  Run(
+      p,
+      [&found](const std::vector<rel::Value>&) {
+        found = true;
+        return false;  // one witness suffices
+      },
+      in);
   return found;
+}
+
+PreparedJoin::PreparedJoin(const std::vector<Term>& head,
+                           const std::vector<Atom>& atoms,
+                           const std::vector<Comparison>& comparisons,
+                           const rel::Database& db,
+                           const std::vector<int>& params,
+                           const std::vector<std::vector<Term>>& filters)
+    : arity_(head.size()) {
+  Components components =
+      SplitComponents(atoms, comparisons, filters, head, params);
+  if (components.constant_comparison_failed) {
+    never_matches_ = true;
+    return;
+  }
+  std::vector<Atom> head_atoms;
+  std::vector<Comparison> head_comparisons;
+  std::vector<FilterArgs> head_filters;
+  for (size_t i = 0; i < components.atoms.size(); ++i) {
+    std::vector<Atom> ordered =
+        OrderAtomsGreedily(components.atoms[i], db, params);
+    if (components.touches_head[i]) {
+      head_atoms.insert(head_atoms.end(), ordered.begin(), ordered.end());
+      head_comparisons.insert(head_comparisons.end(),
+                              components.comparisons[i].begin(),
+                              components.comparisons[i].end());
+      head_filters.insert(head_filters.end(), components.filters[i].begin(),
+                          components.filters[i].end());
+    } else {
+      existential_.push_back(CompileWithFilters(
+          ordered, components.comparisons[i], db, params,
+          components.filters[i]));
+    }
+  }
+  main_ = CompileWithFilters(head_atoms, head_comparisons, db, params,
+                             head_filters);
+  // Resolve head terms to registers/constants once, outside the loop.
+  head_parts_.reserve(head.size());
+  for (const Term& term : head) {
+    HeadPart part;
+    if (term.is_var()) {
+      auto it = main_.var_reg.find(term.var());
+      SWS_CHECK(main_.never_matches || it != main_.var_reg.end())
+          << "unsafe head variable " << term.ToString();
+      if (it != main_.var_reg.end()) part.reg = it->second;
+    } else {
+      part.constant = term.value();
+    }
+    head_parts_.push_back(std::move(part));
+  }
+}
+
+bool PreparedJoin::HasMatch(const Inputs& in) const {
+  if (never_matches_) return false;
+  for (const JoinProgram& p : existential_) {
+    if (!bytecode::HasMatch(p, in)) return false;
+  }
+  return bytecode::HasMatch(main_, in);
+}
+
+rel::Relation PreparedJoin::Collect(const Inputs& in) const {
+  rel::Relation out(arity_);
+  if (never_matches_ || main_.never_matches || main_.comparison_failed) {
+    return out;
+  }
+  // Existential components (no head variable): one witness suffices.
+  for (const JoinProgram& p : existential_) {
+    if (!bytecode::HasMatch(p, in)) return out;
+  }
+  if (arity_ == 0) {  // nullary head: {()} iff any match exists
+    if (bytecode::HasMatch(main_, in)) out.Insert({});
+    return out;
+  }
+  // Emit matches into one flat row-major buffer, deduplicating head
+  // rows at emit time with an open-addressing set over the packed value
+  // words: a chain join enumerates every witness path but most project
+  // to an already-seen head row, and rows dropped here are rows the
+  // final sort never has to touch. FromRowMajor then sorts + bulk
+  // transposes the distinct rows (no per-match ordered insertion).
+  const size_t arity = arity_;
+  const std::vector<HeadPart>& head_parts = head_parts_;
+
+  // Grouped-emission detection: when head parts [0, p) are variables
+  // kLoad-ed from columns [0, p), in order, at an outermost *scan*
+  // level, the scan walks its relation in lexicographic row order, so
+  // (a) every match sharing a head prefix arrives consecutively and
+  // (b) prefix groups arrive in ascending order. Deduplication then
+  // needs only a small per-group table over the head suffix (epoch-
+  // tagged, so group changes never clear it), and the output assembles
+  // already sorted — FromRowMajor's linear sortedness check skips the
+  // final sort entirely.
+  size_t group_prefix = 0;
+  if (!main_.levels.empty() && main_.levels[0].index == nullptr) {
+    const Level& lvl = main_.levels[0];
+    while (group_prefix < arity) {
+      const HeadPart& part = head_parts[group_prefix];
+      bool loads_col = false;
+      for (uint32_t oi = lvl.ops_begin; oi != lvl.ops_end && !loads_col;
+           ++oi) {
+        const Op& op = main_.ops[oi];
+        loads_col = op.code == Op::kLoad && op.b == group_prefix &&
+                    part.reg >= 0 && op.a == part.reg;
+      }
+      if (!loads_col) break;
+      ++group_prefix;
+    }
+  }
+
+  const size_t p = group_prefix;
+  const size_t sfx = arity - p;
+  std::vector<rel::Value> flat;       // final row-major output rows
+  std::vector<rel::Value> row(sfx);   // head-suffix scratch
+  std::vector<rel::Value> group(p);   // current group's prefix values
+  bool have_group = false;
+  bool group_inline = true;  // every suffix value has an inline order key
+  std::vector<rel::Value> gflat;      // distinct suffix rows, this group
+  std::vector<uint64_t> gslots(p > 0 ? 256 : 4096, 0);
+  size_t gmask = gslots.size() - 1;
+  uint32_t epoch = 0;  // gslots entry: (epoch << 32) | suffix row index
+  std::vector<uint64_t> key_scratch;   // flush: bare order keys
+  std::vector<uint32_t> order_scratch; // flush: permutation fallback
+  // Independent per-column mixes (rotated golden-ratio products) keep
+  // the hash's dependency chain flat — the sink runs once per witness
+  // path, so single-digit-ns constants matter here.
+  auto row_hash = [sfx](const rel::Value* r) {
+    size_t h = 0;
+    for (size_t c = 0; c < sfx; ++c) {
+      const size_t m = r[c].Hash();
+      h ^= (m << (c & 63)) | (m >> ((64 - c) & 63));
+    }
+    return h;
+  };
+  // Sorts the current group's distinct suffix rows and appends the
+  // (prefix, suffix) rows to `flat`. Group sizes are small, so the sort
+  // runs in cache; when every suffix value is an inline int/null the
+  // sort runs over bare u64 order keys with no value decoding at all.
+  auto flush_group = [&]() {
+    if (!have_group) return;
+    if (sfx == 0) {
+      flat.insert(flat.end(), group.begin(), group.end());
+      return;
+    }
+    const size_t m = gflat.size() / sfx;
+    if (m == 0) return;
+    const size_t base = flat.size();
+    flat.resize(base + m * arity);
+    rel::Value* dst = flat.data() + base;
+    if (sfx == 1 && group_inline) {
+      key_scratch.resize(m);
+      for (size_t i = 0; i < m; ++i) {
+        key_scratch[i] = gflat[i].InlineOrderKey();
+      }
+      std::sort(key_scratch.begin(), key_scratch.end());
+      for (size_t i = 0; i < m; ++i) {
+        for (size_t c = 0; c < p; ++c) *dst++ = group[c];
+        *dst++ = rel::Value::FromInlineOrderKey(key_scratch[i]);
+      }
+      return;
+    }
+    order_scratch.resize(m);
+    for (size_t i = 0; i < m; ++i) {
+      order_scratch[i] = static_cast<uint32_t>(i);
+    }
+    const bool inline_keys = group_inline;
+    std::sort(order_scratch.begin(), order_scratch.end(),
+              [&gflat, sfx, inline_keys](uint32_t a, uint32_t b) {
+                const rel::Value* ra = gflat.data() + size_t{a} * sfx;
+                const rel::Value* rb = gflat.data() + size_t{b} * sfx;
+                for (size_t c = 0; c < sfx; ++c) {
+                  if (inline_keys) {
+                    const uint64_t ka = ra[c].InlineOrderKey();
+                    const uint64_t kb = rb[c].InlineOrderKey();
+                    if (ka != kb) return ka < kb;
+                  } else {
+                    auto cmp = ra[c] <=> rb[c];
+                    if (cmp != std::strong_ordering::equal) return cmp < 0;
+                  }
+                }
+                return false;
+              });
+    for (uint32_t idx : order_scratch) {
+      for (size_t c = 0; c < p; ++c) *dst++ = group[c];
+      const rel::Value* src = gflat.data() + size_t{idx} * sfx;
+      for (size_t c = 0; c < sfx; ++c) *dst++ = src[c];
+    }
+  };
+  Run(
+      main_,
+      [&](const std::vector<rel::Value>& regs) {
+        bool boundary = !have_group;
+        for (size_t c = 0; c < p && !boundary; ++c) {
+          boundary = !(regs[head_parts[c].reg] == group[c]);
+        }
+        if (boundary) {
+          flush_group();
+          for (size_t c = 0; c < p; ++c) group[c] = regs[head_parts[c].reg];
+          have_group = true;
+          group_inline = true;
+          gflat.clear();
+          ++epoch;
+          if (sfx == 0) return true;  // prefix-only head: row emitted at flush
+        }
+        if (sfx == 0) return true;
+        for (size_t c = 0; c < sfx; ++c) {
+          const HeadPart& part = head_parts[p + c];
+          row[c] = part.reg >= 0 ? regs[part.reg] : part.constant;
+        }
+        size_t pos = row_hash(row.data()) & gmask;
+        for (;;) {
+          const uint64_t slot = gslots[pos];
+          if (static_cast<uint32_t>(slot >> 32) != epoch) break;  // free
+          const rel::Value* seen =
+              gflat.data() + size_t{static_cast<uint32_t>(slot)} * sfx;
+          size_t c = 0;
+          while (c < sfx && seen[c] == row[c]) ++c;
+          if (c == sfx) return true;  // duplicate suffix in this group: drop
+          pos = (pos + 1) & gmask;
+        }
+        const size_t count = gflat.size() / sfx;
+        gslots[pos] = (uint64_t{epoch} << 32) | count;
+        for (size_t c = 0; c < sfx; ++c) {
+          group_inline = group_inline && row[c].HasInlineOrderKey();
+        }
+        gflat.insert(gflat.end(), row.begin(), row.end());
+        if ((count + 1) * 4 > gslots.size() * 3) {  // keep load under 3/4
+          std::vector<uint64_t> grown(gslots.size() * 2, 0);
+          const size_t m2 = grown.size() - 1;
+          for (size_t i = 0; i <= count; ++i) {
+            size_t gpos = row_hash(gflat.data() + i * sfx) & m2;
+            while (static_cast<uint32_t>(grown[gpos] >> 32) == epoch) {
+              gpos = (gpos + 1) & m2;
+            }
+            grown[gpos] = (uint64_t{epoch} << 32) | i;
+          }
+          gslots = std::move(grown);
+          gmask = m2;
+        }
+        return true;
+      },
+      in);
+  flush_group();
+  return rel::Relation::FromRowMajor(arity, flat);
 }
 
 }  // namespace sws::logic::bytecode

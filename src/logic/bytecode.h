@@ -2,6 +2,7 @@
 #define SWS_LOGIC_BYTECODE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -13,19 +14,20 @@
 
 namespace sws::logic::bytecode {
 
-/// Register-bytecode join execution (the PR 7 tentpole, stage 3).
+/// Register-bytecode join execution: the one join executor behind CQ,
+/// UCQ, containment and compiled (safe-range) FO evaluation.
 ///
-/// A greedily-ordered CQ body is lowered once into a JoinProgram: a flat
-/// register machine whose state is a vector of packed 8-byte rel::Value
-/// words ("registers") — variables in first-occurrence order, then the
-/// program's constants, preloaded. One Level per atom either scans its
-/// relation's rows or probes a bound-column-mask hash index
-/// (rel::Relation::GetIndex), and each candidate row is vetted by a
-/// straight-line span of three-operand ops over registers and columnar
-/// loads. No virtual dispatch, no per-probe allocation: the executor is
-/// an iterative cursor stack driven by one switch loop, and probe keys
-/// reuse per-level buffers whose constant components are prefilled at
-/// compile time.
+/// A greedily-ordered conjunctive body is lowered into a JoinProgram: a
+/// flat register machine whose state is a vector of packed 8-byte
+/// rel::Value words ("registers") — parameters, then variables in
+/// first-occurrence order, then the program's constants, preloaded. One
+/// Level per atom either scans its relation's rows or probes a
+/// bound-column-mask hash index (rel::Relation::GetIndex), and each
+/// candidate row is vetted by a straight-line span of three-operand ops
+/// over registers and columnar loads. No virtual dispatch, no per-probe
+/// allocation: the executor is an iterative cursor stack driven by one
+/// switch loop, and probe keys reuse per-level buffers whose constant
+/// components are prefilled at compile time.
 ///
 /// ISA (see DESIGN.md §12 for the op table):
 ///   kLoad      regs[a] = row[b]        bind a first-occurrence variable
@@ -33,12 +35,21 @@ namespace sws::logic::bytecode {
 ///                                      non-indexable column check
 ///   kCmpEq     regs[a] == regs[b]?     attached '=' comparison
 ///   kCmpNe     regs[a] != regs[b]?     attached '≠' comparison
+///   kFilter    filter(filters[a])?     attached side condition (an FO
+///                                      subformula, e.g. an anti-join)
 /// Check ops reject the candidate row on failure. Because Values are
-/// canonical packed words, every op is a single integer load/compare.
+/// canonical packed words, every register op is a single integer
+/// load/compare.
 struct Op {
-  enum Code : uint8_t { kLoad = 0, kCheckCol = 1, kCmpEq = 2, kCmpNe = 3 };
+  enum Code : uint8_t {
+    kLoad = 0,
+    kCheckCol = 1,
+    kCmpEq = 2,
+    kCmpNe = 3,
+    kFilter = 4
+  };
   Code code;
-  uint16_t a;  // register
+  uint16_t a;  // register (kFilter: index into JoinProgram::filters)
   uint32_t b;  // column (kLoad/kCheckCol) or second register (kCmp*)
 };
 
@@ -58,30 +69,65 @@ struct Level {
   uint32_t keys_begin = 0, keys_end = 0;  // span into JoinProgram::keys
 };
 
+/// A side condition attached by a kFilter op: filter `id` of the body
+/// (an index into PreparedJoin's `filters`), whose argument values sit
+/// in `regs` when the op runs.
+struct FilterRef {
+  uint32_t id = 0;
+  std::vector<uint16_t> regs;
+};
+
 struct JoinProgram {
   std::vector<Level> levels;
   std::vector<Op> ops;        // all levels' ops, concatenated
   std::vector<KeySlot> keys;  // all levels' variable key slots
-  /// Initial register file: [0, num_var_regs) zeroed variable registers
-  /// (written by kLoad before any read), then the constants.
+  std::vector<FilterRef> filters;  // kFilter operands
+  /// Initial register file: [0, num_params) parameters (written by Run
+  /// from its Inputs), [num_params, num_var_regs) zeroed variable
+  /// registers (written by kLoad before any read), then the constants.
   std::vector<rel::Value> reg_init;
+  uint16_t num_params = 0;
   uint16_t num_var_regs = 0;
   /// Per-level probe-key buffers with constant components prefilled;
   /// copied once per execution, reused across every probe.
   std::vector<rel::Tuple> key_templates;
-  /// Variable id -> register, for resolving head terms / bindings.
+  /// Variable id -> register (parameters included), for resolving head
+  /// terms / bindings.
   std::map<int, int> var_reg;
   bool never_matches = false;      // an atom's relation absent/mismatched
   bool comparison_failed = false;  // a const-vs-const comparison is false
 };
 
+/// Evaluates a kFilter op: true iff the candidate row passes.
+using FilterFn =
+    std::function<bool(const FilterRef&, const std::vector<rel::Value>&)>;
+
+/// Per-execution inputs of a body prepared with parameters or filters:
+/// the parameter values (PreparedJoin's `params` order) and the filter
+/// evaluator. Plain CQ bodies need neither.
+struct Inputs {
+  const rel::Value* params = nullptr;
+  const FilterFn* filter = nullptr;
+};
+
 /// Lowers a body (atoms already join-ordered, e.g. by OrderAtomsGreedily)
 /// into a JoinProgram against the given database. Each comparison is
 /// attached at the first level where both sides are bound, so it costs
-/// exactly one compare per candidate row.
+/// exactly one compare per candidate row. (PreparedJoin compiles bodies
+/// with parameters and filters the same way.)
 JoinProgram Compile(const std::vector<Atom>& ordered,
                     const std::vector<Comparison>& comparisons,
                     const rel::Database& db);
+
+/// Greedy join ordering: repeatedly pick the atom with the most
+/// constant/already-bound argument positions (parameters count as
+/// bound), breaking ties toward the smallest relation instance. Turns
+/// the guard-heavy bodies produced by unfolding (sws/unfold.h) from
+/// cross-products into chains and feeds the index probes the most
+/// selective prefix first.
+std::vector<Atom> OrderAtomsGreedily(const std::vector<Atom>& body,
+                                     const rel::Database& db,
+                                     const std::vector<int>& params = {});
 
 /// Runs the program; `sink(regs)` fires once per complete match and may
 /// return false to stop enumeration. Returns false iff stopped early —
@@ -89,10 +135,11 @@ JoinProgram Compile(const std::vector<Atom>& ordered,
 /// is checked once per candidate row; StepTick batches the gate admit).
 /// An empty program (no levels) has exactly one empty match.
 template <typename Sink>
-bool Run(const JoinProgram& p, Sink&& sink) {
+bool Run(const JoinProgram& p, Sink&& sink, const Inputs& in = {}) {
   if (p.never_matches || p.comparison_failed) return true;
   const size_t depth = p.levels.size();
   std::vector<rel::Value> regs = p.reg_init;
+  for (uint16_t i = 0; i < p.num_params; ++i) regs[i] = in.params[i];
   if (depth == 0) return sink(regs);
   std::vector<rel::Tuple> key_bufs = p.key_templates;
 
@@ -153,6 +200,9 @@ bool Run(const JoinProgram& p, Sink&& sink) {
           case Op::kCmpNe:
             ok = !(regs[op.a] == regs[op.b]);
             break;
+          case Op::kFilter:
+            ok = (*in.filter)(p.filters[op.a], regs);
+            break;
         }
         if (!ok) break;
       }
@@ -179,8 +229,53 @@ bool Run(const JoinProgram& p, Sink&& sink) {
 
 /// True iff the program has at least one match (stops at the first).
 /// Distinguishes "no match" from a cancellation abort by checking the
-/// found flag, matching the legacy ComponentHasMatch contract.
-bool HasMatch(const JoinProgram& p);
+/// found flag: an aborted run reports no match.
+bool HasMatch(const JoinProgram& p, const Inputs& in = {});
+
+/// A conjunctive body compiled against one database — the evaluation
+/// unit of ConjunctiveQuery and of every disjunct of a compiled FO query.
+///
+/// The body splits into connected components over shared variables
+/// (atoms, comparisons and filters connect their variables; parameters
+/// are pre-bound and connect nothing). A component without a head
+/// variable needs only one witness and is checked on its own; the others
+/// join in one program, each component's atoms greedily ordered.
+///
+/// `params` are variables bound before the first level (their values
+/// arrive through Inputs); they take registers [0, params.size()) and
+/// become probe-key components wherever they occur. Each filter, given
+/// by its argument terms, becomes a kFilter op at the first level binding
+/// all of its variables, after that level's comparisons. Every
+/// comparison and filter must mention a variable that some atom binds
+/// (constant-only comparisons are resolved here; the caller settles
+/// parameter-only conditions before running).
+class PreparedJoin {
+ public:
+  PreparedJoin(const std::vector<Term>& head, const std::vector<Atom>& atoms,
+               const std::vector<Comparison>& comparisons,
+               const rel::Database& db, const std::vector<int>& params = {},
+               const std::vector<std::vector<Term>>& filters = {});
+
+  /// True iff the body has a match (stops at the first).
+  bool HasMatch(const Inputs& in = {}) const;
+
+  /// The head rows of all matches, distinct and sorted. Existential
+  /// variables are projected away at emit time: rows dedup into one
+  /// row-major buffer that leaves sorted (see DESIGN.md §12).
+  rel::Relation Collect(const Inputs& in = {}) const;
+
+ private:
+  struct HeadPart {
+    int reg = -1;  // -1: the constant below
+    rel::Value constant;
+  };
+
+  size_t arity_ = 0;
+  bool never_matches_ = false;  // a constant-only comparison is false
+  std::vector<JoinProgram> existential_;  // components without a head var
+  JoinProgram main_;                      // the head components, joined
+  std::vector<HeadPart> head_parts_;
+};
 
 }  // namespace sws::logic::bytecode
 

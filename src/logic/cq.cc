@@ -1,6 +1,6 @@
 #include "logic/cq.h"
 
-#include <algorithm>
+#include <utility>
 #include <sstream>
 
 #include "logic/bytecode.h"
@@ -125,671 +125,23 @@ bool MatchFrom(const std::vector<Atom>& body,
 
 }  // namespace
 
-namespace {
-
-// Greedy join ordering: repeatedly pick the atom with the most
-// constant/already-bound argument positions, breaking ties toward the
-// smallest relation instance. Turns the guard-heavy bodies produced by
-// unfolding (sws/unfold.h) from cross-products into chains and feeds the
-// index-probe planner below the most selective prefix first.
-std::vector<Atom> OrderAtomsGreedily(const std::vector<Atom>& body,
-                                     const rel::Database& db) {
-  std::vector<Atom> ordered;
-  std::vector<bool> used(body.size(), false);
-  std::set<int> bound;
-  auto relation_size = [&db](const Atom& a) -> size_t {
-    if (!db.Contains(a.relation)) return 0;  // matches nothing: run it first
-    const rel::Relation& r = db.Get(a.relation);
-    return r.arity() == a.args.size() ? r.size() : 0;
-  };
-  for (size_t step = 0; step < body.size(); ++step) {
-    size_t best = body.size();
-    int best_bound = -1;
-    size_t best_size = 0;
-    for (size_t i = 0; i < body.size(); ++i) {
-      if (used[i]) continue;
-      int bound_args = 0;
-      for (const Term& t : body[i].args) {
-        if (t.is_const() || (t.is_var() && bound.count(t.var()) > 0)) {
-          ++bound_args;
-        }
-      }
-      size_t size = relation_size(body[i]);
-      if (best == body.size() || bound_args > best_bound ||
-          (bound_args == best_bound && size < best_size)) {
-        best = i;
-        best_bound = bound_args;
-        best_size = size;
-      }
-    }
-    used[best] = true;
-    for (const Term& t : body[best].args) {
-      if (t.is_var()) bound.insert(t.var());
-    }
-    ordered.push_back(body[best]);
-  }
-  return ordered;
-}
-
-// ---------------------------------------------------------------------------
-// Indexed join plans.
-//
-// Evaluate / EvaluatesNonempty / EnumerateMatches compile the (ordered)
-// body into a JoinPlan: one level per atom, each probing a per-relation
-// hash index (Relation::GetIndex) over the columns that are constant or
-// bound by earlier levels, with variable bindings held in a flat slot
-// vector indexed by order of first occurrence — no per-extension map
-// inserts or unbinding. Comparisons are resolved to slots once, attached
-// to the first level at which both sides are bound, so each comparison
-// is evaluated exactly once per candidate tuple (the legacy path
-// re-scanned every comparison on every partial binding). EvaluateNaive
-// keeps the map-based backtracking join above as the differential
-// baseline.
-// ---------------------------------------------------------------------------
-
-struct JoinPlan {
-  struct Out {  // copy tuple column -> binding slot (first occurrence)
-    size_t col;
-    int slot;
-  };
-  struct VarCheck {  // tuple column must equal an already-written slot
-    size_t col;
-    int slot;
-  };
-  struct ConstCheck {  // tuple column must equal a constant (scan mode)
-    size_t col;
-    rel::Value value;
-  };
-  struct KeyPart {  // one component of the index probe key
-    int slot = -1;  // -1: the constant below, prefilled per run
-    rel::Value constant;
-  };
-  struct SlotComparison {  // comparison with both sides resolved
-    bool is_equality = true;
-    int lhs_slot = -1;  // -1: use lhs_const
-    int rhs_slot = -1;  // -1: use rhs_const
-    rel::Value lhs_const;
-    rel::Value rhs_const;
-  };
-  struct Level {
-    const rel::Relation* relation = nullptr;
-    // Shared ownership: under an IndexBudget the relation's pool may
-    // evict this index mid-run; the plan's reference keeps it alive.
-    std::shared_ptr<const rel::Relation::Index> index;  // null: full scan
-    std::vector<KeyPart> key;  // parallel to index->cols (ascending)
-    std::vector<Out> outs;
-    std::vector<VarCheck> var_checks;
-    std::vector<ConstCheck> const_checks;
-    std::vector<SlotComparison> comparisons;
-  };
-
-  std::vector<Level> levels;
-  size_t num_slots = 0;
-  std::map<int, int> var_slot;     // variable id -> slot
-  bool never_matches = false;      // an atom's relation is absent/mismatched
-  bool comparison_failed = false;  // a const-vs-const comparison is false
-};
-
-JoinPlan CompilePlan(const std::vector<Atom>& ordered,
-                     const std::vector<Comparison>& comparisons,
-                     const rel::Database& db) {
-  JoinPlan plan;
-  std::vector<bool> attached(comparisons.size(), false);
-  for (size_t ci = 0; ci < comparisons.size(); ++ci) {
-    const Comparison& c = comparisons[ci];
-    if (c.lhs.is_const() && c.rhs.is_const()) {
-      attached[ci] = true;
-      if ((c.lhs.value() == c.rhs.value()) != c.is_equality) {
-        plan.comparison_failed = true;
-      }
-    }
-  }
-  auto slot_of = [&plan](int var) {
-    auto it = plan.var_slot.find(var);
-    return it == plan.var_slot.end() ? -1 : it->second;
-  };
-  std::set<int> bound_prior;  // vars bound at already-compiled levels
-  for (const Atom& atom : ordered) {
-    const rel::Relation* relation =
-        db.Contains(atom.relation) ? &db.Get(atom.relation) : nullptr;
-    if (relation != nullptr && relation->arity() != atom.args.size()) {
-      relation = nullptr;
-    }
-    if (relation == nullptr) {  // no facts: the whole body matches nothing
-      plan.never_matches = true;
-      return plan;
-    }
-    JoinPlan::Level level;
-    level.relation = relation;
-    uint64_t mask = 0;
-    std::vector<JoinPlan::KeyPart> key;  // ascending column order
-    for (size_t col = 0; col < atom.args.size(); ++col) {
-      const Term& term = atom.args[col];
-      if (term.is_const()) {
-        if (col < 64) {
-          mask |= uint64_t{1} << col;
-          key.push_back({-1, term.value()});
-        } else {
-          level.const_checks.push_back({col, term.value()});
-        }
-        continue;
-      }
-      int slot = slot_of(term.var());
-      if (slot < 0) {  // first occurrence anywhere: bind it here
-        slot = static_cast<int>(plan.num_slots++);
-        plan.var_slot.emplace(term.var(), slot);
-        level.outs.push_back({col, slot});
-      } else if (bound_prior.count(term.var()) > 0 && col < 64) {
-        mask |= uint64_t{1} << col;  // bound earlier: probe key component
-        key.push_back({slot, rel::Value()});
-      } else {
-        // Repeated within this atom (its slot is written by an earlier
-        // out of the same level) or beyond indexable columns.
-        level.var_checks.push_back({col, slot});
-      }
-    }
-    if (mask != 0) {
-      level.index = relation->GetIndex(mask);
-      level.key = std::move(key);
-    }
-    // Attach each comparison at the first level where both sides are
-    // bound; it is then evaluated exactly once per candidate tuple.
-    for (size_t ci = 0; ci < comparisons.size(); ++ci) {
-      if (attached[ci]) continue;
-      const Comparison& c = comparisons[ci];
-      JoinPlan::SlotComparison sc;
-      sc.is_equality = c.is_equality;
-      if (c.lhs.is_var()) {
-        sc.lhs_slot = slot_of(c.lhs.var());
-        if (sc.lhs_slot < 0) continue;
-      } else {
-        sc.lhs_const = c.lhs.value();
-      }
-      if (c.rhs.is_var()) {
-        sc.rhs_slot = slot_of(c.rhs.var());
-        if (sc.rhs_slot < 0) continue;
-      } else {
-        sc.rhs_const = c.rhs.value();
-      }
-      attached[ci] = true;
-      level.comparisons.push_back(std::move(sc));
-    }
-    for (const Term& t : atom.args) {
-      if (t.is_var()) bound_prior.insert(t.var());
-    }
-    plan.levels.push_back(std::move(level));
-  }
-  return plan;
-}
-
-// Runs one level of the plan: probes/scans, writes outs into the slot
-// vector, and recurses. Returns false iff on_match stopped enumeration.
-// Slots need no unbinding between siblings — every slot a deeper level
-// reads is rewritten deterministically by the level that owns it.
-template <typename OnMatch>
-bool RunPlanFrom(const JoinPlan& plan, size_t level_index,
-                 std::vector<rel::Value>* slots,
-                 std::vector<rel::Tuple>* key_bufs, const OnMatch& on_match) {
-  if (level_index == plan.levels.size()) return on_match(*slots);
-  const JoinPlan::Level& level = plan.levels[level_index];
-  const rel::Relation& rel = *level.relation;
-  auto try_row = [&](size_t row) {
-    // Cooperative cancellation: the probe loops must notice a tripped
-    // governor within a bounded number of candidate tuples. `false`
-    // stops enumeration through every enclosing level; the governed
-    // caller discards the partial result.
-    if (!sws::util::StepTick()) return false;
-    for (const auto& o : level.outs) (*slots)[o.slot] = rel.At(row, o.col);
-    for (const auto& vc : level.var_checks) {
-      if (!(rel.At(row, vc.col) == (*slots)[vc.slot])) return true;
-    }
-    for (const auto& cc : level.const_checks) {
-      if (!(rel.At(row, cc.col) == cc.value)) return true;
-    }
-    for (const auto& sc : level.comparisons) {
-      const rel::Value& l =
-          sc.lhs_slot >= 0 ? (*slots)[sc.lhs_slot] : sc.lhs_const;
-      const rel::Value& r =
-          sc.rhs_slot >= 0 ? (*slots)[sc.rhs_slot] : sc.rhs_const;
-      if ((l == r) != sc.is_equality) return true;
-    }
-    return RunPlanFrom(plan, level_index + 1, slots, key_bufs, on_match);
-  };
-  if (level.index != nullptr) {
-    rel::Tuple& key = (*key_bufs)[level_index];
-    for (size_t i = 0; i < level.key.size(); ++i) {
-      if (level.key[i].slot >= 0) key[i] = (*slots)[level.key[i].slot];
-    }
-    auto it = level.index->buckets.find(key);
-    if (it == level.index->buckets.end()) return true;
-    for (uint32_t row : it->second) {
-      if (!try_row(row)) return false;
-    }
-  } else {
-    for (size_t row = 0; row < rel.size(); ++row) {
-      if (!try_row(row)) return false;
-    }
-  }
-  return true;
-}
-
-// Runs a compiled plan, invoking on_match(slots) per complete binding.
-// Returns false iff on_match stopped enumeration early.
-template <typename OnMatch>
-bool RunPlan(const JoinPlan& plan, const OnMatch& on_match) {
-  if (plan.never_matches || plan.comparison_failed) return true;
-  std::vector<rel::Value> slots(plan.num_slots);
-  std::vector<rel::Tuple> key_bufs(plan.levels.size());
-  for (size_t i = 0; i < plan.levels.size(); ++i) {
-    key_bufs[i].resize(plan.levels[i].key.size());
-    for (size_t k = 0; k < plan.levels[i].key.size(); ++k) {
-      if (plan.levels[i].key[k].slot < 0) {  // constants never change
-        key_bufs[i][k] = plan.levels[i].key[k].constant;
-      }
-    }
-  }
-  return RunPlanFrom(plan, 0, &slots, &key_bufs, on_match);
-}
-
-// Splits body atoms and comparisons into connected components by shared
-// variables. Comparisons join the components of their variables.
-struct QueryComponents {
-  // Parallel vectors: one entry per component.
-  std::vector<std::vector<Atom>> atoms;
-  std::vector<std::vector<Comparison>> comparisons;
-  std::vector<bool> touches_head;
-  bool constant_comparison_failed = false;  // a const-vs-const check failed
-};
-
-QueryComponents SplitComponents(const std::vector<Atom>& body,
-                                const std::vector<Comparison>& comparisons,
-                                const std::vector<Term>& head) {
-  QueryComponents out;
-  // Union-find over variables.
-  std::map<int, int> parent;
-  std::function<int(int)> find = [&](int x) -> int {
-    auto it = parent.find(x);
-    if (it == parent.end()) {
-      parent.emplace(x, x);
-      return x;
-    }
-    if (it->second == x) return x;
-    int root = find(it->second);
-    it->second = root;  // path compression
-    return root;
-  };
-  auto unite = [&](int a, int b) { parent[find(a)] = find(b); };
-  auto unite_terms = [&](const std::vector<Term>& terms) {
-    int first = -1;
-    for (const Term& t : terms) {
-      if (!t.is_var()) continue;
-      if (first < 0) {
-        first = t.var();
-        find(first);
-      } else {
-        unite(first, t.var());
-      }
-    }
-  };
-  for (const Atom& a : body) unite_terms(a.args);
-  for (const Comparison& c : comparisons) unite_terms({c.lhs, c.rhs});
-
-  // Assign atoms/comparisons to components keyed by variable roots;
-  // variable-free atoms each form their own component.
-  std::map<int, size_t> root_to_component;
-  auto component_of_var = [&](int var) {
-    int root = find(var);
-    auto [it, inserted] =
-        root_to_component.emplace(root, out.atoms.size());
-    if (inserted) {
-      out.atoms.emplace_back();
-      out.comparisons.emplace_back();
-      out.touches_head.push_back(false);
-    }
-    return it->second;
-  };
-  for (const Atom& a : body) {
-    size_t component = out.atoms.size();
-    bool has_var = false;
-    for (const Term& t : a.args) {
-      if (t.is_var()) {
-        component = component_of_var(t.var());
-        has_var = true;
-        break;
-      }
-    }
-    if (!has_var) {
-      out.atoms.emplace_back();
-      out.comparisons.emplace_back();
-      out.touches_head.push_back(false);
-    }
-    out.atoms[component].push_back(a);
-  }
-  for (const Comparison& c : comparisons) {
-    if (c.lhs.is_var()) {
-      out.comparisons[component_of_var(c.lhs.var())].push_back(c);
-    } else if (c.rhs.is_var()) {
-      out.comparisons[component_of_var(c.rhs.var())].push_back(c);
-    } else if ((c.lhs.value() == c.rhs.value()) != c.is_equality) {
-      out.constant_comparison_failed = true;
-    }
-  }
-  for (const Term& t : head) {
-    if (t.is_var()) {
-      // Safe queries guarantee head vars occur in the body, hence have a
-      // component.
-      out.touches_head[component_of_var(t.var())] = true;
-    }
-  }
-  return out;
-}
-
-bool ComponentHasMatch(const std::vector<Atom>& atoms,
-                       const std::vector<Comparison>& comparisons,
-                       const rel::Database& db) {
-  JoinPlan plan = CompilePlan(atoms, comparisons, db);
-  bool found = false;
-  RunPlan(plan, [&found](const std::vector<rel::Value>&) {
-    found = true;
-    return false;  // one witness suffices
-  });
-  return found;
-}
-
-}  // namespace
-
 bool EnumerateMatches(const std::vector<Atom>& body,
                       const std::vector<Comparison>& comparisons,
                       const rel::Database& db,
                       const std::function<bool(const Binding&)>& on_match) {
-  JoinPlan plan = CompilePlan(OrderAtomsGreedily(body, db), comparisons, db);
-  return RunPlan(plan, [&](const std::vector<rel::Value>& slots) {
+  bytecode::JoinProgram program =
+      bytecode::Compile(bytecode::OrderAtomsGreedily(body, db), comparisons, db);
+  return bytecode::Run(program, [&](const std::vector<rel::Value>& regs) {
     Binding binding;
-    for (const auto& [var, slot] : plan.var_slot) {
-      binding.emplace(var, slots[slot]);
+    for (const auto& [var, reg] : program.var_reg) {
+      binding.emplace(var, regs[reg]);
     }
     return on_match(binding);
   });
 }
 
 rel::Relation ConjunctiveQuery::Evaluate(const rel::Database& db) const {
-  return EvaluateWith(db, CqEngine::kBytecode);
-}
-
-rel::Relation ConjunctiveQuery::EvaluateWith(const rel::Database& db,
-                                             CqEngine engine) const {
-  if (engine == CqEngine::kNaive) return EvaluateNaive(db);
-  if (engine == CqEngine::kIndexedPlan) return EvaluateIndexed(db);
-
-  rel::Relation out(head_.size());
-  QueryComponents components = SplitComponents(body_, comparisons_, head_);
-  if (components.constant_comparison_failed) return out;
-
-  // Existential components (no head variable): one witness suffices.
-  std::vector<Atom> head_atoms;
-  std::vector<Comparison> head_comparisons;
-  for (size_t i = 0; i < components.atoms.size(); ++i) {
-    if (components.touches_head[i]) {
-      std::vector<Atom> ordered = OrderAtomsGreedily(components.atoms[i], db);
-      head_atoms.insert(head_atoms.end(), ordered.begin(), ordered.end());
-      head_comparisons.insert(head_comparisons.end(),
-                              components.comparisons[i].begin(),
-                              components.comparisons[i].end());
-    } else if (!bytecode::HasMatch(bytecode::Compile(
-                   OrderAtomsGreedily(components.atoms[i], db),
-                   components.comparisons[i], db))) {
-      return out;
-    }
-  }
-
-  bytecode::JoinProgram program =
-      bytecode::Compile(head_atoms, head_comparisons, db);
-  if (program.never_matches || program.comparison_failed) return out;
-  // Resolve head terms to registers/constants once, outside the loop.
-  struct HeadPart {
-    int reg = -1;  // -1: the constant below
-    rel::Value constant;
-  };
-  std::vector<HeadPart> head_parts;
-  head_parts.reserve(head_.size());
-  for (const Term& term : head_) {
-    HeadPart part;
-    if (term.is_var()) {
-      auto it = program.var_reg.find(term.var());
-      SWS_CHECK(it != program.var_reg.end())
-          << "unsafe head variable " << term.ToString();
-      part.reg = it->second;
-    } else {
-      part.constant = term.value();
-    }
-    head_parts.push_back(std::move(part));
-  }
-
-  if (head_.empty()) {  // nullary head: {()} iff any match exists
-    if (bytecode::HasMatch(program)) out.Insert({});
-    return out;
-  }
-  // Emit matches into one flat row-major buffer, deduplicating head
-  // rows at emit time with an open-addressing set over the packed value
-  // words: a chain join enumerates every witness path but most project
-  // to an already-seen head row, and rows dropped here are rows the
-  // final sort never has to touch. FromRowMajor then sorts + bulk
-  // transposes the distinct rows (no per-match ordered insertion).
-  const size_t arity = head_.size();
-
-  // Grouped-emission detection: when head parts [0, p) are variables
-  // kLoad-ed from columns [0, p), in order, at an outermost *scan*
-  // level, the scan walks its relation in lexicographic row order, so
-  // (a) every match sharing a head prefix arrives consecutively and
-  // (b) prefix groups arrive in ascending order. Deduplication then
-  // needs only a small per-group table over the head suffix (epoch-
-  // tagged, so group changes never clear it), and the output assembles
-  // already sorted — FromRowMajor's linear sortedness check skips the
-  // final sort entirely.
-  size_t group_prefix = 0;
-  if (!program.levels.empty() && program.levels[0].index == nullptr) {
-    const bytecode::Level& lvl = program.levels[0];
-    while (group_prefix < arity) {
-      const HeadPart& part = head_parts[group_prefix];
-      bool loads_col = false;
-      for (uint32_t oi = lvl.ops_begin; oi != lvl.ops_end && !loads_col;
-           ++oi) {
-        const bytecode::Op& op = program.ops[oi];
-        loads_col = op.code == bytecode::Op::kLoad && op.b == group_prefix &&
-                    part.reg >= 0 && op.a == part.reg;
-      }
-      if (!loads_col) break;
-      ++group_prefix;
-    }
-  }
-
-  const size_t p = group_prefix;
-  const size_t sfx = arity - p;
-  std::vector<rel::Value> flat;       // final row-major output rows
-  std::vector<rel::Value> row(sfx);   // head-suffix scratch
-  std::vector<rel::Value> group(p);   // current group's prefix values
-  bool have_group = false;
-  bool group_inline = true;  // every suffix value has an inline order key
-  std::vector<rel::Value> gflat;      // distinct suffix rows, this group
-  std::vector<uint64_t> gslots(p > 0 ? 256 : 4096, 0);
-  size_t gmask = gslots.size() - 1;
-  uint32_t epoch = 0;  // gslots entry: (epoch << 32) | suffix row index
-  std::vector<uint64_t> key_scratch;   // flush: bare order keys
-  std::vector<uint32_t> order_scratch; // flush: permutation fallback
-  // Independent per-column mixes (rotated golden-ratio products) keep
-  // the hash's dependency chain flat — the sink runs once per witness
-  // path, so single-digit-ns constants matter here.
-  auto row_hash = [sfx](const rel::Value* r) {
-    size_t h = 0;
-    for (size_t c = 0; c < sfx; ++c) {
-      const size_t m = r[c].Hash();
-      h ^= (m << (c & 63)) | (m >> ((64 - c) & 63));
-    }
-    return h;
-  };
-  // Sorts the current group's distinct suffix rows and appends the
-  // (prefix, suffix) rows to `flat`. Group sizes are small, so the sort
-  // runs in cache; when every suffix value is an inline int/null the
-  // sort runs over bare u64 order keys with no value decoding at all.
-  auto flush_group = [&]() {
-    if (!have_group) return;
-    if (sfx == 0) {
-      flat.insert(flat.end(), group.begin(), group.end());
-      return;
-    }
-    const size_t m = gflat.size() / sfx;
-    if (m == 0) return;
-    const size_t base = flat.size();
-    flat.resize(base + m * arity);
-    rel::Value* dst = flat.data() + base;
-    if (sfx == 1 && group_inline) {
-      key_scratch.resize(m);
-      for (size_t i = 0; i < m; ++i) {
-        key_scratch[i] = gflat[i].InlineOrderKey();
-      }
-      std::sort(key_scratch.begin(), key_scratch.end());
-      for (size_t i = 0; i < m; ++i) {
-        for (size_t c = 0; c < p; ++c) *dst++ = group[c];
-        *dst++ = rel::Value::FromInlineOrderKey(key_scratch[i]);
-      }
-      return;
-    }
-    order_scratch.resize(m);
-    for (size_t i = 0; i < m; ++i) {
-      order_scratch[i] = static_cast<uint32_t>(i);
-    }
-    const bool inline_keys = group_inline;
-    std::sort(order_scratch.begin(), order_scratch.end(),
-              [&gflat, sfx, inline_keys](uint32_t a, uint32_t b) {
-                const rel::Value* ra = gflat.data() + size_t{a} * sfx;
-                const rel::Value* rb = gflat.data() + size_t{b} * sfx;
-                for (size_t c = 0; c < sfx; ++c) {
-                  if (inline_keys) {
-                    const uint64_t ka = ra[c].InlineOrderKey();
-                    const uint64_t kb = rb[c].InlineOrderKey();
-                    if (ka != kb) return ka < kb;
-                  } else {
-                    auto cmp = ra[c] <=> rb[c];
-                    if (cmp != std::strong_ordering::equal) return cmp < 0;
-                  }
-                }
-                return false;
-              });
-    for (uint32_t idx : order_scratch) {
-      for (size_t c = 0; c < p; ++c) *dst++ = group[c];
-      const rel::Value* src = gflat.data() + size_t{idx} * sfx;
-      for (size_t c = 0; c < sfx; ++c) *dst++ = src[c];
-    }
-  };
-  bytecode::Run(program, [&](const std::vector<rel::Value>& regs) {
-    bool boundary = !have_group;
-    for (size_t c = 0; c < p && !boundary; ++c) {
-      boundary = !(regs[head_parts[c].reg] == group[c]);
-    }
-    if (boundary) {
-      flush_group();
-      for (size_t c = 0; c < p; ++c) group[c] = regs[head_parts[c].reg];
-      have_group = true;
-      group_inline = true;
-      gflat.clear();
-      ++epoch;
-      if (sfx == 0) return true;  // prefix-only head: row emitted at flush
-    }
-    if (sfx == 0) return true;
-    for (size_t c = 0; c < sfx; ++c) {
-      const HeadPart& part = head_parts[p + c];
-      row[c] = part.reg >= 0 ? regs[part.reg] : part.constant;
-    }
-    size_t pos = row_hash(row.data()) & gmask;
-    for (;;) {
-      const uint64_t slot = gslots[pos];
-      if (static_cast<uint32_t>(slot >> 32) != epoch) break;  // free slot
-      const rel::Value* seen =
-          gflat.data() + size_t{static_cast<uint32_t>(slot)} * sfx;
-      size_t c = 0;
-      while (c < sfx && seen[c] == row[c]) ++c;
-      if (c == sfx) return true;  // duplicate suffix in this group: drop
-      pos = (pos + 1) & gmask;
-    }
-    const size_t count = gflat.size() / sfx;
-    gslots[pos] = (uint64_t{epoch} << 32) | count;
-    for (size_t c = 0; c < sfx; ++c) {
-      group_inline = group_inline && row[c].HasInlineOrderKey();
-    }
-    gflat.insert(gflat.end(), row.begin(), row.end());
-    if ((count + 1) * 4 > gslots.size() * 3) {  // keep load under 3/4
-      std::vector<uint64_t> grown(gslots.size() * 2, 0);
-      const size_t m2 = grown.size() - 1;
-      for (size_t i = 0; i <= count; ++i) {
-        size_t gpos = row_hash(gflat.data() + i * sfx) & m2;
-        while (static_cast<uint32_t>(grown[gpos] >> 32) == epoch) {
-          gpos = (gpos + 1) & m2;
-        }
-        grown[gpos] = (uint64_t{epoch} << 32) | i;
-      }
-      gslots = std::move(grown);
-      gmask = m2;
-    }
-    return true;
-  });
-  flush_group();
-  return rel::Relation::FromRowMajor(arity, flat);
-}
-
-rel::Relation ConjunctiveQuery::EvaluateIndexed(const rel::Database& db) const {
-  rel::Relation out(head_.size());
-  QueryComponents components =
-      SplitComponents(body_, comparisons_, head_);
-  if (components.constant_comparison_failed) return out;
-
-  // Existential components (no head variable): one witness suffices.
-  std::vector<Atom> head_atoms;
-  std::vector<Comparison> head_comparisons;
-  for (size_t i = 0; i < components.atoms.size(); ++i) {
-    if (components.touches_head[i]) {
-      std::vector<Atom> ordered = OrderAtomsGreedily(components.atoms[i], db);
-      head_atoms.insert(head_atoms.end(), ordered.begin(), ordered.end());
-      head_comparisons.insert(head_comparisons.end(),
-                              components.comparisons[i].begin(),
-                              components.comparisons[i].end());
-    } else if (!ComponentHasMatch(OrderAtomsGreedily(components.atoms[i], db),
-                                  components.comparisons[i], db)) {
-      return out;
-    }
-  }
-
-  JoinPlan plan = CompilePlan(head_atoms, head_comparisons, db);
-  if (plan.never_matches || plan.comparison_failed) return out;
-  // Resolve head terms to slots/constants once, outside the match loop.
-  struct HeadPart {
-    int slot = -1;  // -1: the constant below
-    rel::Value constant;
-  };
-  std::vector<HeadPart> head_parts;
-  head_parts.reserve(head_.size());
-  for (const Term& term : head_) {
-    HeadPart part;
-    if (term.is_var()) {
-      auto it = plan.var_slot.find(term.var());
-      SWS_CHECK(it != plan.var_slot.end())
-          << "unsafe head variable " << term.ToString();
-      part.slot = it->second;
-    } else {
-      part.constant = term.value();
-    }
-    head_parts.push_back(std::move(part));
-  }
-
-  RunPlan(plan, [&](const std::vector<rel::Value>& slots) {
-    rel::Tuple t;
-    t.reserve(head_parts.size());
-    for (const HeadPart& part : head_parts) {
-      t.push_back(part.slot >= 0 ? slots[part.slot] : part.constant);
-    }
-    out.Insert(std::move(t));
-    return true;
-  });
-  return out;
+  return bytecode::PreparedJoin(head_, body_, comparisons_, db).Collect();
 }
 
 rel::Relation ConjunctiveQuery::EvaluateNaive(const rel::Database& db) const {
@@ -810,17 +162,8 @@ rel::Relation ConjunctiveQuery::EvaluateNaive(const rel::Database& db) const {
 }
 
 bool ConjunctiveQuery::EvaluatesNonempty(const rel::Database& db) const {
-  QueryComponents components =
-      SplitComponents(body_, comparisons_, head_);
-  if (components.constant_comparison_failed) return false;
-  for (size_t i = 0; i < components.atoms.size(); ++i) {
-    if (!bytecode::HasMatch(bytecode::Compile(
-            OrderAtomsGreedily(components.atoms[i], db),
-            components.comparisons[i], db))) {
-      return false;
-    }
-  }
-  return true;
+  // Without a head every component is existential: each needs one witness.
+  return bytecode::PreparedJoin({}, body_, comparisons_, db).HasMatch();
 }
 
 std::set<int> ConjunctiveQuery::Vars() const {

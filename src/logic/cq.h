@@ -40,30 +40,18 @@ struct Comparison {
       default;
 };
 
-/// Evaluation engine selection, for differential testing and ablation
-/// benchmarks. All three are semantically identical.
-enum class CqEngine {
-  /// Register-bytecode executor over columnar relations (logic/
-  /// bytecode.h) — the default since the PR 7 interning refactor.
-  kBytecode,
-  /// The PR 3 compiled JoinPlan (recursive template walker). Retained as
-  /// the mid-fidelity differential reference and ablation baseline.
-  kIndexedPlan,
-  /// Plain backtracking join in textual atom order — the oracle.
-  kNaive,
-};
-
 /// A conjunctive query with equality and inequality:
 ///   head(x̄) :- A_1, ..., A_m, c_1, ..., c_l
 /// where the A_i are positive atoms and the c_j are (in)equalities.
 ///
 /// Safety: every variable in the head or in a comparison must occur in
 /// some body atom (checked by Validate()). Evaluation compiles the body
-/// into an indexed join plan: atoms are greedily ordered by bound-argument
-/// count (ties toward smaller relations), each atom probes a per-relation
-/// hash index over its bound columns (rel::Relation::GetIndex), bindings
-/// live in a flat slot vector, and each comparison is checked exactly once
-/// at the first point both sides are bound.
+/// onto the register bytecode (logic/bytecode.h): atoms are greedily
+/// ordered by bound-argument count (ties toward smaller relations), each
+/// atom probes a per-relation hash index over its bound columns
+/// (rel::Relation::GetIndex), bindings live in a flat register file, and
+/// each comparison is checked exactly once at the first point both sides
+/// are bound.
 class ConjunctiveQuery {
  public:
   ConjunctiveQuery() = default;
@@ -91,15 +79,11 @@ class ConjunctiveQuery {
   /// (labeled nulls are plain values: distinct labels are distinct).
   rel::Relation Evaluate(const rel::Database& db) const;
 
-  /// Evaluates with an explicit engine (see CqEngine). Evaluate() is
-  /// EvaluateWith(db, CqEngine::kBytecode).
-  rel::Relation EvaluateWith(const rel::Database& db, CqEngine engine) const;
-
   /// Reference evaluation: plain backtracking join in textual atom order,
   /// with no greedy reordering and no connected-component decomposition.
-  /// Semantically identical to Evaluate; kept as the ablation baseline
-  /// for the benchmarks (guard-heavy unfolded queries are exponential
-  /// without the optimizations).
+  /// Semantically identical to Evaluate; kept as the differential oracle
+  /// and the ablation baseline for the benchmarks (guard-heavy unfolded
+  /// queries are exponential without the optimizations).
   rel::Relation EvaluateNaive(const rel::Database& db) const;
 
   /// True iff Evaluate(db) would be nonempty (stops at first match).
@@ -145,9 +129,6 @@ class ConjunctiveQuery {
       default;
 
  private:
-  /// The legacy JoinPlan evaluation (CqEngine::kIndexedPlan).
-  rel::Relation EvaluateIndexed(const rel::Database& db) const;
-
   std::vector<Term> head_;
   std::vector<Atom> body_;
   std::vector<Comparison> comparisons_;

@@ -1,7 +1,10 @@
 #include "logic/fo.h"
 
+#include <algorithm>
 #include <sstream>
+#include <unordered_map>
 
+#include "logic/bytecode.h"
 #include "util/cancellation.h"
 #include "util/common.h"
 
@@ -331,6 +334,435 @@ std::string FoFormula::ToString(
   return "?";
 }
 
+// ---------------------------------------------------------------------------
+// Safe-range lowering onto the join bytecode.
+//
+// A formula lowers into an FoPlan: a union of conjunctive bodies
+// (branches) of positive atoms, '≠' comparisons and filters. A filter is
+// a subformula checked per candidate row once its variables are bound —
+// an anti-join probe when negated — or, when it mentions no variable of
+// the body, once per run, as a guard. The lowering pushes negation
+// inward (De Morgan, ¬∀ = ∃¬), gives each ∃ a fresh body variable that
+// the emit projects away, turns ∀x φ into the filter ¬∃x ¬φ, distributes
+// ∧ over ∨ (a closed conjunct becomes a guard instead), and eliminates
+// '=' by substitution. It succeeds iff every body variable — head,
+// quantified, compared or passed to a filter — is range-restricted: bound
+// by a positive atom, a parameter, or an equality chain to one or to a
+// constant. That is the safe-range condition: the query is then
+// domain-independent, so the bytecode's answer equals the interpreter's
+// over adom(db) plus the constants.
+// ---------------------------------------------------------------------------
+
+struct FoPlan {
+  /// A side condition of a branch: `sub`, with its parameters bound to
+  /// `args`, must have a match — or none, when `negated`.
+  struct Filter {
+    std::shared_ptr<const FoPlan> sub;
+    bool negated = false;
+    std::vector<Term> args;  // one per sub->params
+  };
+
+  /// One disjunct.
+  struct Branch {
+    std::vector<Term> outputs;  // the head; top-level plans only
+    std::vector<Atom> atoms;
+    std::vector<Comparison> comparisons;  // each binds a body variable
+    std::vector<Filter> filters;          // likewise
+    /// Conditions over parameters and constants only: settled before
+    /// the join runs.
+    std::vector<Comparison> pre_comparisons;
+    std::vector<Filter> pre_filters;
+  };
+
+  std::vector<int> params;  // variables bound by the caller, in order
+  std::vector<Branch> branches;  // the union
+};
+
+namespace {
+
+/// A conjunctive term of the disjunctive form under construction.
+struct Conjunct {
+  std::vector<Atom> atoms;
+  std::vector<Comparison> comparisons;
+  std::vector<FoPlan::Filter> filters;
+  std::vector<int> quantified;  // ∃-variables; each must be range-restricted
+};
+using Dnf = std::vector<Conjunct>;
+
+/// Distributing ∧ over ∨ may grow the disjunction exponentially; past
+/// this many disjuncts the query is interpreted instead.
+constexpr size_t kMaxDisjuncts = 64;
+
+using Renaming = std::map<int, int>;  // formula variable -> plan variable
+
+Conjunct Merge(const Conjunct& a, const Conjunct& b) {
+  Conjunct out = a;
+  out.atoms.insert(out.atoms.end(), b.atoms.begin(), b.atoms.end());
+  out.comparisons.insert(out.comparisons.end(), b.comparisons.begin(),
+                         b.comparisons.end());
+  out.filters.insert(out.filters.end(), b.filters.begin(), b.filters.end());
+  out.quantified.insert(out.quantified.end(), b.quantified.begin(),
+                        b.quantified.end());
+  return out;
+}
+
+class Lowering {
+ public:
+  /// Lowers `f`, whose free variables are among `free`, into a plan. With
+  /// `head` null the plan takes one parameter per entry of `free`;
+  /// otherwise it has no parameters and outputs `head`. Null when `f` is
+  /// not safe-range.
+  std::shared_ptr<const FoPlan> Plan(const FoFormula& f,
+                                     const std::vector<int>& free,
+                                     const std::vector<Term>* head) {
+    Renaming ren;
+    auto plan = std::make_shared<FoPlan>();
+    for (int v : free) {
+      ren[v] = Fresh();
+      if (head == nullptr) plan->params.push_back(ren[v]);
+    }
+    std::vector<Term> outputs;
+    if (head != nullptr) {
+      for (const Term& t : *head) {
+        outputs.push_back(t.is_var() ? Term::Var(ren.at(t.var())) : t);
+      }
+    }
+    std::optional<Dnf> dnf = Lower(f, /*negated=*/false, ren);
+    if (!dnf.has_value()) return nullptr;
+    for (Conjunct& c : *dnf) {
+      FoPlan::Branch branch;
+      branch.outputs = outputs;
+      switch (Finalize(std::move(c), plan->params, &branch)) {
+        case Outcome::kKeep:
+          plan->branches.push_back(std::move(branch));
+          break;
+        case Outcome::kUnsatisfiable:
+          break;
+        case Outcome::kNotRangeRestricted:
+          return nullptr;
+      }
+    }
+    return plan;
+  }
+
+ private:
+  enum class Outcome { kKeep, kUnsatisfiable, kNotRangeRestricted };
+
+  int Fresh() { return next_var_++; }
+
+  /// The disjunctive form of `f` (of ¬f when `negated`).
+  std::optional<Dnf> Lower(const FoFormula& f, bool negated,
+                           const Renaming& ren) {
+    using Kind = FoFormula::Kind;
+    auto rename = [&ren](const Term& t) {
+      return t.is_var() ? Term::Var(ren.at(t.var())) : t;
+    };
+    switch (f.kind()) {
+      case Kind::kAtom: {
+        if (negated) return AsFilter(f, /*negated=*/true, ren);
+        Atom atom{f.relation(), {}};
+        for (const Term& t : f.args()) atom.args.push_back(rename(t));
+        Conjunct c;
+        c.atoms.push_back(std::move(atom));
+        return Dnf{std::move(c)};
+      }
+      case Kind::kEq: {
+        Conjunct c;
+        c.comparisons.push_back(
+            Comparison{rename(f.args()[0]), rename(f.args()[1]), !negated});
+        return Dnf{std::move(c)};
+      }
+      case Kind::kNot:
+        return Lower(f.children()[0], !negated, ren);
+      case Kind::kAnd:
+      case Kind::kOr: {
+        if ((f.kind() == Kind::kAnd) == negated) {  // a disjunction: union
+          Dnf out;
+          for (const FoFormula& child : f.children()) {
+            std::optional<Dnf> d = Lower(child, negated, ren);
+            if (!d.has_value()) return std::nullopt;
+            out.insert(out.end(), d->begin(), d->end());
+            if (out.size() > kMaxDisjuncts) return std::nullopt;
+          }
+          return out;
+        }
+        Dnf out(1);  // a conjunction: distribute
+        for (const FoFormula& child : f.children()) {
+          // A closed conjunct is a guard, evaluated once per run.
+          std::optional<Dnf> d =
+              child.kind() != Kind::kEq && child.FreeVars().empty()
+                  ? AsFilter(child, negated, ren)
+                  : Lower(child, negated, ren);
+          if (!d.has_value()) return std::nullopt;
+          if (out.size() * d->size() > kMaxDisjuncts) return std::nullopt;
+          Dnf product;
+          for (const Conjunct& a : out) {
+            for (const Conjunct& b : *d) product.push_back(Merge(a, b));
+          }
+          out = std::move(product);
+        }
+        return out;
+      }
+      case Kind::kExists:
+      case Kind::kForall: {
+        if ((f.kind() == Kind::kExists) != negated) {  // ∃x φ or ¬∀x φ
+          const int x = Fresh();
+          Renaming inner = ren;  // shadows any outer binding of the name
+          inner[f.bound_var()] = x;
+          std::optional<Dnf> d = Lower(f.children()[0], negated, inner);
+          if (!d.has_value()) return std::nullopt;
+          for (Conjunct& c : *d) c.quantified.push_back(x);
+          return d;
+        }
+        // ¬∃x φ, or ∀x φ = ¬∃x ¬φ: an anti-join against an ∃.
+        FoFormula exists =
+            f.kind() == Kind::kExists
+                ? f
+                : FoFormula::Exists(f.bound_var(),
+                                    FoFormula::Not(f.children()[0]));
+        return AsFilter(exists, /*negated=*/true, ren);
+      }
+    }
+    return std::nullopt;
+  }
+
+  /// One conjunct holding `g` (¬g when `negated`) as a filter.
+  std::optional<Dnf> AsFilter(FoFormula g, bool negated,
+                              const Renaming& ren) {
+    while (g.kind() == FoFormula::Kind::kNot) {
+      FoFormula child = g.children()[0];
+      g = std::move(child);
+      negated = !negated;
+    }
+    const std::set<int> free_set = g.FreeVars();
+    const std::vector<int> free(free_set.begin(), free_set.end());
+    FoPlan::Filter filter;
+    filter.sub = Plan(g, free, nullptr);
+    if (filter.sub == nullptr) return std::nullopt;
+    filter.negated = negated;
+    for (int v : free) filter.args.push_back(Term::Var(ren.at(v)));
+    Conjunct c;
+    c.filters.push_back(std::move(filter));
+    return Dnf{std::move(c)};
+  }
+
+  /// Eliminates '=' by substitution, splits off the conditions known
+  /// before the join, and checks range restriction.
+  static Outcome Finalize(Conjunct c, const std::vector<int>& params,
+                          FoPlan::Branch* out) {
+    const std::set<int> param_set(params.begin(), params.end());
+    auto is_param = [&param_set](const Term& t) {
+      return t.is_var() && param_set.count(t.var()) > 0;
+    };
+    // Union-find over the terms of the '=' comparisons.
+    std::map<Term, Term> parent;
+    std::function<Term(const Term&)> find = [&](const Term& t) -> Term {
+      auto it = parent.find(t);
+      if (it == parent.end() || it->second == t) return t;
+      Term root = find(it->second);
+      parent[t] = root;
+      return root;
+    };
+    for (const Comparison& cmp : c.comparisons) {
+      if (!cmp.is_equality) continue;
+      parent.emplace(cmp.lhs, cmp.lhs);
+      parent.emplace(cmp.rhs, cmp.rhs);
+      Term a = find(cmp.lhs), b = find(cmp.rhs);
+      if (!(a == b)) parent[a] = b;
+    }
+    std::map<Term, std::vector<Term>> classes;
+    for (const auto& [t, unused] : parent) classes[find(t)].push_back(t);
+    // Each class's representative: its constant, else a parameter, else
+    // its least variable. Other parameters keep their own values and
+    // become checks; two distinct constants make the conjunct false.
+    std::map<int, Term> subst;
+    for (const auto& [root, members] : classes) {
+      const Term* rep = nullptr;
+      for (const Term& m : members) {
+        if (!m.is_const()) continue;
+        if (rep != nullptr) return Outcome::kUnsatisfiable;  // distinct
+        rep = &m;
+      }
+      for (const Term& m : members) {
+        if (rep == nullptr && is_param(m)) rep = &m;
+      }
+      if (rep == nullptr) rep = &members[0];
+      for (const Term& m : members) {
+        if (m == *rep) continue;
+        if (is_param(m)) {
+          out->pre_comparisons.push_back(Comparison{m, *rep, true});
+        } else {
+          subst[m.var()] = *rep;
+        }
+      }
+    }
+    auto sub = [&subst](const Term& t) {
+      if (t.is_var()) {
+        auto it = subst.find(t.var());
+        if (it != subst.end()) return it->second;
+      }
+      return t;
+    };
+
+    std::set<int> bound(params.begin(), params.end());
+    for (Atom& atom : c.atoms) {
+      for (Term& t : atom.args) {
+        t = sub(t);
+        if (t.is_var()) bound.insert(t.var());
+      }
+    }
+    out->atoms = std::move(c.atoms);
+    auto restricted = [&bound](const Term& t) {
+      return t.is_const() || bound.count(t.var()) > 0;
+    };
+    auto fixed = [&is_param](const Term& t) {
+      return t.is_const() || is_param(t);
+    };
+    for (const Comparison& cmp : c.comparisons) {
+      if (cmp.is_equality) continue;
+      const Term l = sub(cmp.lhs), r = sub(cmp.rhs);
+      if (l == r) return Outcome::kUnsatisfiable;  // t ≠ t
+      if (!restricted(l) || !restricted(r)) {
+        return Outcome::kNotRangeRestricted;
+      }
+      if (l.is_const() && r.is_const()) continue;  // distinct constants
+      (fixed(l) && fixed(r) ? out->pre_comparisons : out->comparisons)
+          .push_back(Comparison{l, r, false});
+    }
+    for (FoPlan::Filter& filter : c.filters) {
+      bool all_fixed = true;
+      for (Term& t : filter.args) {
+        t = sub(t);
+        if (!restricted(t)) return Outcome::kNotRangeRestricted;
+        all_fixed = all_fixed && fixed(t);
+      }
+      if (all_fixed) {
+        out->pre_filters.push_back(std::move(filter));
+      } else {
+        out->filters.push_back(std::move(filter));
+      }
+    }
+    for (Term& t : out->outputs) {
+      t = sub(t);
+      if (!restricted(t)) return Outcome::kNotRangeRestricted;
+    }
+    for (int x : c.quantified) {
+      if (!restricted(sub(Term::Var(x)))) return Outcome::kNotRangeRestricted;
+    }
+    return Outcome::kKeep;
+  }
+
+  int next_var_ = 0;
+};
+
+/// Runs lowered plans against one database. Each branch's body is
+/// compiled (relations and indexes bound) on first use and reused for
+/// every later call — a filter's plan runs once per candidate row.
+class FoExecutor {
+ public:
+  explicit FoExecutor(const rel::Database& db) : db_(db) {}
+
+  /// True iff some branch of `plan` matches with its parameters bound to
+  /// `params`; stops at the first match.
+  bool HasMatch(const FoPlan& plan, const std::vector<rel::Value>& params) {
+    for (size_t i = 0; i < plan.branches.size(); ++i) {
+      const FoPlan::Branch& branch = plan.branches[i];
+      if (!PreconditionsHold(plan, branch, params)) continue;
+      const bytecode::FilterFn filter = Filter(branch);
+      if (Join(plan, i).HasMatch({params.data(), &filter})) return true;
+    }
+    return false;
+  }
+
+  /// The union of the (parameterless) plan's branch outputs.
+  rel::Relation Collect(const FoPlan& plan, size_t arity) {
+    rel::Relation out(arity);
+    for (size_t i = 0; i < plan.branches.size(); ++i) {
+      const FoPlan::Branch& branch = plan.branches[i];
+      if (!PreconditionsHold(plan, branch, {})) continue;
+      const bytecode::FilterFn filter = Filter(branch);
+      rel::Relation rows = Join(plan, i).Collect({nullptr, &filter});
+      out = out.empty() ? std::move(rows) : out.Union(rows);
+    }
+    return out;
+  }
+
+ private:
+  bool PreconditionsHold(const FoPlan& plan, const FoPlan::Branch& branch,
+                         const std::vector<rel::Value>& params) {
+    auto value = [&](const Term& t) {
+      if (t.is_const()) return t.value();
+      auto it = std::find(plan.params.begin(), plan.params.end(), t.var());
+      return params[static_cast<size_t>(it - plan.params.begin())];
+    };
+    for (const Comparison& cmp : branch.pre_comparisons) {
+      if ((value(cmp.lhs) == value(cmp.rhs)) != cmp.is_equality) return false;
+    }
+    for (const FoPlan::Filter& filter : branch.pre_filters) {
+      std::vector<rel::Value> args;
+      for (const Term& t : filter.args) args.push_back(value(t));
+      if (HasMatch(*filter.sub, args) == filter.negated) return false;
+    }
+    return true;
+  }
+
+  bytecode::FilterFn Filter(const FoPlan::Branch& branch) {
+    return [this, &branch](const bytecode::FilterRef& ref,
+                           const std::vector<rel::Value>& regs) {
+      const FoPlan::Filter& filter = branch.filters[ref.id];
+      std::vector<rel::Value> args;
+      args.reserve(ref.regs.size());
+      for (uint16_t reg : ref.regs) args.push_back(regs[reg]);
+      return HasMatch(*filter.sub, args) != filter.negated;
+    };
+  }
+
+  const bytecode::PreparedJoin& Join(const FoPlan& plan, size_t i) {
+    auto& joins = prepared_[&plan];
+    if (joins.empty()) joins.resize(plan.branches.size());
+    if (joins[i] == nullptr) {
+      const FoPlan::Branch& b = plan.branches[i];
+      std::vector<std::vector<Term>> filter_args;
+      for (const FoPlan::Filter& filter : b.filters) {
+        filter_args.push_back(filter.args);
+      }
+      joins[i] = std::make_unique<bytecode::PreparedJoin>(
+          b.outputs, b.atoms, b.comparisons, db_, plan.params, filter_args);
+    }
+    return *joins[i];
+  }
+
+  const rel::Database& db_;
+  std::unordered_map<const FoPlan*,
+                     std::vector<std::unique_ptr<bytecode::PreparedJoin>>>
+      prepared_;
+};
+
+}  // namespace
+
+FoQuery::FoQuery(std::vector<Term> head, FoFormula formula)
+    : head_(std::move(head)), formula_(std::move(formula)) {
+  if (Validate().has_value()) return;  // ill-formed: the interpreter reports
+  std::vector<int> head_vars;
+  for (const Term& t : head_) {
+    if (t.is_var() && std::find(head_vars.begin(), head_vars.end(),
+                                t.var()) == head_vars.end()) {
+      head_vars.push_back(t.var());
+    }
+  }
+  plan_ = Lowering().Plan(formula_, head_vars, &head_);
+}
+
+rel::Relation FoQuery::Evaluate(const rel::Database& db) const {
+  if (plan_ == nullptr) return EvaluateNaive(db);
+  return FoExecutor(db).Collect(*plan_, head_.size());
+}
+
+bool FoQuery::EvaluatesNonempty(const rel::Database& db) const {
+  if (plan_ == nullptr) return !EvaluateNaive(db).empty();
+  return FoExecutor(db).HasMatch(*plan_, {});
+}
+
 std::optional<std::string> FoQuery::Validate() const {
   std::set<int> free = formula_.FreeVars();
   std::set<int> head_vars;
@@ -345,7 +777,7 @@ std::optional<std::string> FoQuery::Validate() const {
   return std::nullopt;
 }
 
-rel::Relation FoQuery::Evaluate(const rel::Database& db) const {
+rel::Relation FoQuery::EvaluateNaive(const rel::Database& db) const {
   // Active-domain semantics: quantify over adom(db) plus the query's
   // constants. The shared snapshot is cached per database generation;
   // copy it only if some constant is actually missing from it.

@@ -62,8 +62,8 @@ class FoFormula {
             const Binding& binding) const;
 
   /// Reusable per-evaluation state for repeated EvalMutable calls over
-  /// one fixed database (FoQuery::Evaluate invokes the formula once per
-  /// head-variable assignment — O(|adom|^k) times). Caches each atom
+  /// one fixed database (FoQuery::EvaluateNaive invokes the formula once
+  /// per head-variable assignment — O(|adom|^k) times). Caches each atom
   /// node's resolved relation so the inner loop skips the two
   /// string-keyed database lookups per atom, and reuses one probe-tuple
   /// buffer instead of allocating per atom evaluation. Must not outlive
@@ -102,13 +102,23 @@ class FoFormula {
   std::shared_ptr<const Node> node_;
 };
 
+/// Database-independent lowering of a safe-range FO query onto the join
+/// bytecode (defined in fo.cc; see FoQuery).
+struct FoPlan;
+
 /// An FO query: a formula with an ordered tuple of free head variables
 /// (variables may repeat; constants are allowed as head terms).
+///
+/// Evaluation has two paths, chosen by the formula alone. A safe-range
+/// query (Abiteboul–Hull–Vianu, Foundations of Databases, ch. 5) is
+/// domain-independent, so it is lowered once, at construction, into a
+/// union of conjunctive bodies that run on the join bytecode (Codd's
+/// theorem made operational; DESIGN.md §12). Every other query runs on
+/// the active-domain interpreter, which is also the differential oracle.
 class FoQuery {
  public:
   FoQuery() = default;
-  FoQuery(std::vector<Term> head, FoFormula formula)
-      : head_(std::move(head)), formula_(std::move(formula)) {}
+  FoQuery(std::vector<Term> head, FoFormula formula);
 
   const std::vector<Term>& head() const { return head_; }
   const FoFormula& formula() const { return formula_; }
@@ -120,8 +130,21 @@ class FoQuery {
   std::optional<std::string> Validate() const;
 
   /// Active-domain evaluation: head variables range over adom(db) plus the
-  /// formula's constants.
+  /// query's constants. Compiled when safe-range, interpreted otherwise.
   rel::Relation Evaluate(const rel::Database& db) const;
+
+  /// True iff Evaluate(db) is nonempty. The compiled path stops at the
+  /// first match.
+  bool EvaluatesNonempty(const rel::Database& db) const;
+
+  /// The active-domain interpreter: enumerates head assignments and
+  /// quantifiers over adom(db) plus the query's constants. Exponential in
+  /// the head arity and quantifier depth; kept for non-safe-range queries
+  /// and as the differential oracle for the compiled path.
+  rel::Relation EvaluateNaive(const rel::Database& db) const;
+
+  /// True iff the query is safe-range and Evaluate runs compiled.
+  bool compiled() const { return plan_ != nullptr; }
 
   /// Converts a CQ (with = and ≠) to an equivalent FO query.
   static FoQuery FromCq(const ConjunctiveQuery& cq);
@@ -132,6 +155,7 @@ class FoQuery {
  private:
   std::vector<Term> head_;
   FoFormula formula_;
+  std::shared_ptr<const FoPlan> plan_;  // null: interpret
 };
 
 /// Result of a bounded-model satisfiability search.

@@ -140,7 +140,7 @@ core::Status ReplicatedNode::StartLife() {
       options_.replication.replicas > 0 ? replicator_.get() : nullptr;
   runtime_options.replication.monitor = applier_.get();
   runtime_options.replication.failover_timeout = failover_timeout;
-  runtime_options.replication.promotions = promotions_;
+  runtime_options.replication.promotions = promotions_.load();
   runtime_options.replication.counters = &counters_;
   if (options_.auto_failover) {
     // Self-healing needs the suspicion signal; the watchdog is its pump.

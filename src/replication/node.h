@@ -152,7 +152,7 @@ class ReplicatedNode : public ReplicationEndpoint {
   FencingEpoch* fence() { return &fence_; }
   FailoverCoordinator* coordinator() { return coordinator_.get(); }
   rt::ReplicationCounters* counters() { return &counters_; }
-  uint64_t promotions() const { return promotions_; }
+  uint64_t promotions() const { return promotions_.load(); }
   uint64_t incarnation() const { return incarnation_; }
   /// Replayed outcomes the last Start()/Promote() withheld because their
   /// re-emission ack barrier failed (a follower was unreachable, or this
@@ -232,7 +232,8 @@ class ReplicatedNode : public ReplicationEndpoint {
   std::shared_ptr<rt::ServiceRuntime> runtime_;
   std::vector<persistence::ReplayedOutcome> replayed_;
   uint64_t incarnation_ = 0;
-  uint64_t promotions_ = 0;
+  // Written by the failover worker (PromoteLocked), read by observers.
+  std::atomic<uint64_t> promotions_{0};
   uint64_t suppressed_reemissions_ = 0;
   std::atomic<bool> running_{false};
 

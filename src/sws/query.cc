@@ -151,7 +151,7 @@ bool RelQuery::EvaluatesNonempty(const rel::Database& env) const {
     case Language::kUcq:
       return ucq().EvaluatesNonempty(env);
     case Language::kFo:
-      return !fo().Evaluate(env).empty();
+      return fo().EvaluatesNonempty(env);
   }
   return false;
 }

@@ -787,9 +787,12 @@ TEST(AutoFailoverNodeTest, QuorumElectionPromotesHeirNoHarnessPromote) {
   ASSERT_TRUE(WaitFor([&] { return cluster.group.IsDeposed("n0"); },
                       std::chrono::seconds(15)))
       << "no automatic promotion deposed the killed node";
+  // The coordinator counts an automatic promotion after the promotion
+  // hook returns, so the heir can be running before the count lands.
   ASSERT_TRUE(WaitFor([&] {
     for (auto& node : cluster.nodes) {
-      if (node->id() != "n0" && node->promotions() >= 1 && node->running()) {
+      if (node->id() != "n0" && node->promotions() >= 1 && node->running() &&
+          node->counters()->auto_promotions.load() >= 1) {
         return true;
       }
     }

@@ -1,21 +1,27 @@
-// Differential tests for the indexed query engine (logic/cq.cc,
-// relational/relation.cc) and the execution-tree memoization
-// (sws/execution.cc): the optimized paths must be observationally
-// identical to the naive baselines on randomized workloads, and the
-// memo/index caches must invalidate correctly under mutation.
+// Differential tests for the query engine (logic/bytecode.cc, logic/cq.cc,
+// the compiled FO path of logic/fo.cc, relational/relation.cc) and the
+// execution-tree memoization (sws/execution.cc): the optimized paths must
+// be observationally identical to the naive baselines on randomized
+// workloads, and the memo/index caches must invalidate correctly under
+// mutation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "logic/cq.h"
 #include "logic/fo.h"
+#include "models/peer.h"
 #include "models/sirup_sws.h"
+#include "models/travel.h"
 #include "relational/database.h"
 #include "relational/relation.h"
 #include "sws/execution.h"
 #include "sws/generator.h"
+#include "sws/pl_sws.h"
 #include "sws/sws.h"
 
 namespace sws {
@@ -149,27 +155,22 @@ TEST(QueryEngineTest, IndexedJoinMatchesNaiveOnRandomQueries) {
   }
 }
 
-TEST(QueryEngineTest, ThreeWayEngineDifferential) {
-  // The register-bytecode executor (default), the legacy JoinPlan and
-  // the naive backtracking oracle must agree on every randomized case.
-  using logic::CqEngine;
+TEST(QueryEngineTest, BytecodeMatchesNaiveDifferential) {
+  // The register-bytecode executor and the naive backtracking oracle
+  // must agree on every randomized case.
   CqFuzzer fuzzer(977001);
   for (int i = 0; i < 1000; ++i) {
     RandomCq c = fuzzer.Next();
-    Relation bytecode = c.query.EvaluateWith(c.db, CqEngine::kBytecode);
-    Relation indexed = c.query.EvaluateWith(c.db, CqEngine::kIndexedPlan);
-    Relation naive = c.query.EvaluateWith(c.db, CqEngine::kNaive);
+    Relation bytecode = c.query.Evaluate(c.db);
+    Relation naive = c.query.EvaluateNaive(c.db);
     ASSERT_EQ(bytecode, naive)
         << "bytecode vs naive, case " << i << ": " << c.query.ToString()
         << "\nover\n"
         << c.db.ToString();
-    ASSERT_EQ(indexed, naive)
-        << "indexed vs naive, case " << i << ": " << c.query.ToString();
   }
 }
 
 TEST(QueryEngineTest, BytecodeHandlesConstantsComparisonsAndNullaryHeads) {
-  using logic::CqEngine;
   auto v = [](int i) { return Term::Var(i); };
   Database db;
   Relation r(2);
@@ -183,8 +184,8 @@ TEST(QueryEngineTest, BytecodeHandlesConstantsComparisonsAndNullaryHeads) {
   ConjunctiveQuery q1({v(1)},
                       {Atom{"R", {Term::Const(Value::Str("a")), v(1)}}},
                       {Comparison{v(1), Term::Int(1), false}});
-  EXPECT_EQ(q1.EvaluateWith(db, CqEngine::kBytecode),
-            q1.EvaluateWith(db, CqEngine::kNaive));
+  EXPECT_EQ(q1.Evaluate(db),
+            q1.EvaluateNaive(db));
   EXPECT_EQ(q1.Evaluate(db).size(), 1u);
 
   // Repeated variable within one atom.
@@ -193,14 +194,14 @@ TEST(QueryEngineTest, BytecodeHandlesConstantsComparisonsAndNullaryHeads) {
   s.Insert({Value::Int(1), Value::Int(2)});
   db.Set("S", s);
   ConjunctiveQuery q2({v(0)}, {Atom{"S", {v(0), v(0)}}});
-  EXPECT_EQ(q2.EvaluateWith(db, CqEngine::kBytecode),
-            q2.EvaluateWith(db, CqEngine::kNaive));
+  EXPECT_EQ(q2.Evaluate(db),
+            q2.EvaluateNaive(db));
   EXPECT_EQ(q2.Evaluate(db).size(), 1u);
 
   // Nullary head over a purely existential body: {()} iff a match.
   ConjunctiveQuery q3({}, {Atom{"R", {v(0), v(1)}}, Atom{"S", {v(1), v(2)}}});
   Relation nullary = q3.Evaluate(db);
-  EXPECT_EQ(nullary, q3.EvaluateWith(db, CqEngine::kNaive));
+  EXPECT_EQ(nullary, q3.EvaluateNaive(db));
   EXPECT_EQ(nullary.size(), 1u);
   EXPECT_EQ(nullary.arity(), 0u);
 
@@ -277,21 +278,443 @@ TEST(QueryEngineTest, EnumerateMatchesAgreesWithNaiveBindings) {
   }
 }
 
-TEST(QueryEngineTest, FoFromCqMatchesIndexedEvaluate) {
-  // The FO engine shares ResolveTerm/active-domain caching; FromCq gives
-  // an independent oracle for the CQ fast path (and vice versa).
+TEST(QueryEngineTest, FoFromCqMatchesCqEvaluate) {
+  // FromCq of a safe CQ is safe-range, so the FO query runs compiled: an
+  // independent lowering of the same body onto the same executor. Small
+  // heads also meet the interpreter, closing the triangle.
   CqFuzzer fuzzer(555);
   int checked = 0;
-  for (int i = 0; i < 200 && checked < 60; ++i) {
+  for (int i = 0; i < 1000; ++i) {
     RandomCq c = fuzzer.Next();
-    // FO evaluation is exponential in head arity; keep it tiny.
-    if (c.query.head().size() > 2 || c.query.Validate().has_value()) continue;
+    if (c.query.Validate().has_value()) continue;
     ++checked;
+    logic::FoQuery fo = logic::FoQuery::FromCq(c.query);
+    ASSERT_TRUE(fo.compiled()) << "case " << i << ": " << fo.ToString();
     Relation cq = c.query.Evaluate(c.db);
-    Relation fo = logic::FoQuery::FromCq(c.query).Evaluate(c.db);
-    ASSERT_EQ(cq, fo) << "case " << i << ": " << c.query.ToString();
+    ASSERT_EQ(cq, fo.Evaluate(c.db)) << "case " << i << ": "
+                                     << c.query.ToString();
+    ASSERT_EQ(fo.EvaluatesNonempty(c.db), !cq.empty()) << "case " << i;
+    if (c.query.head().size() <= 2) {
+      ASSERT_EQ(cq, fo.EvaluateNaive(c.db)) << "case " << i;
+    }
   }
-  EXPECT_GE(checked, 30);
+  EXPECT_GE(checked, 900);
+}
+
+// ---------------------------------------------------------------------------
+// Compiled FO vs the active-domain interpreter.
+// ---------------------------------------------------------------------------
+
+using logic::FoFormula;
+using logic::FoQuery;
+
+struct RandomFo {
+  FoQuery query;
+  Database db;
+};
+
+// Random FO queries, mostly safe-range by construction: Positive(V)
+// builds a formula that range-restricts every variable of V (atoms,
+// unions of independently generated branches, ∃, equality bindings),
+// and Condition(V) a side condition over V (negation, guarded ∀,
+// (in)equalities, closed guards, shadowed quantifiers, filters whose
+// variables only the context binds). A slice of unsafe formulas checks
+// that the fallback stays exact too. Relations may be empty, absent or
+// of the wrong arity; constants may lie outside the active domain.
+class FoFuzzer {
+ public:
+  explicit FoFuzzer(uint64_t seed) : rng_(seed) {}
+
+  RandomFo Next() {
+    RandomFo out;
+    next_var_ = 10;
+    for (int r = 0; r < kRelations; ++r) {
+      arity_[r] = static_cast<size_t>(Int(0, 5) == 0 ? 0 : Int(1, 2));
+      switch (Int(0, 7)) {
+        case 0:
+          break;  // absent: a positive atom is false, its negation true
+        case 1:  // wrong arity: likewise
+          out.db.Set(Name(r), RandomRelation(arity_[r] + 1));
+          break;
+        default:
+          out.db.Set(Name(r), RandomRelation(arity_[r]));
+      }
+    }
+    if (Int(0, 3) == 0) {  // values only the interpreter's domain sees
+      out.db.Set("Other", RandomRelation(1));
+    }
+    std::vector<int> head_vars;
+    for (int i = 0, n = Int(0, 2); i < n; ++i) head_vars.push_back(i);
+    FoFormula f = Int(0, 9) == 0 ? Unsafe(head_vars) : Positive(head_vars, 2);
+    std::vector<Term> head;
+    for (int v : head_vars) head.push_back(Term::Var(v));
+    std::shuffle(head.begin(), head.end(), rng_);
+    if (!head_vars.empty() && Int(0, 3) == 0) {  // repeated head variable
+      head.push_back(Term::Var(head_vars[0]));
+    }
+    if (Int(0, 3) == 0) {  // head constant, maybe outside adom
+      head.insert(head.begin() + Int(0, static_cast<int>(head.size())),
+                  Constant());
+    }
+    out.query = FoQuery(std::move(head), std::move(f));
+    return out;
+  }
+
+ private:
+  static constexpr int kRelations = 3;
+
+  static std::string Name(int r) { return "R" + std::to_string(r); }
+
+  FoFormula Positive(const std::vector<int>& vars, int depth) {
+    switch (depth <= 0 ? 0 : Int(0, 6)) {
+      case 1:  // union; the branches' shapes differ independently
+        return FoFormula::Or(Positive(vars, depth - 1),
+                             Positive(vars, depth - 1));
+      case 2: {
+        const int y = next_var_++;
+        std::vector<int> more = vars;
+        more.push_back(y);
+        return FoFormula::Exists(y, Positive(more, depth - 1));
+      }
+      case 3:
+        return FoFormula::And(Positive(vars, depth - 1),
+                              Condition(vars, depth - 1));
+      case 4: {  // split the variables across two conjuncts
+        std::vector<int> a, b;
+        for (int v : vars) (Int(0, 1) == 0 ? a : b).push_back(v);
+        return FoFormula::And(Positive(a, depth - 1), Positive(b, depth - 1));
+      }
+      case 5: {  // bind a variable by equality only
+        if (vars.empty()) break;
+        const int x = vars.back();
+        std::vector<int> rest(vars.begin(), vars.end() - 1);
+        FoFormula binding =
+            rest.empty() || Int(0, 1) == 0
+                ? FoFormula::Eq(Term::Var(x), Constant())
+                : FoFormula::Eq(Term::Var(rest[Pick(rest.size())]),
+                                Term::Var(x));
+        return FoFormula::And(Positive(rest, depth - 1), binding);
+      }
+      case 6:
+        if (vars.empty()) {
+          return FoFormula::And(Condition({}, depth - 1),
+                                Positive(vars, depth - 1));
+        }
+        break;
+      default:
+        break;
+    }
+    return Cover(vars);
+  }
+
+  // A conjunction of atoms mentioning every variable of `vars`; extra
+  // variables are existentially quantified.
+  FoFormula Cover(const std::vector<int>& vars) {
+    std::set<int> uncovered(vars.begin(), vars.end());
+    std::vector<FoFormula> atoms;
+    std::vector<int> extra;
+    do {
+      const int r = Int(0, kRelations - 1);
+      std::vector<Term> args;
+      for (size_t c = 0; c < arity_[r]; ++c) {
+        if (!uncovered.empty() && Int(0, 3) != 0) {
+          args.push_back(Term::Var(*uncovered.begin()));
+          uncovered.erase(uncovered.begin());
+        } else if (!vars.empty() && Int(0, 2) == 0) {
+          args.push_back(Term::Var(vars[Pick(vars.size())]));
+        } else if (Int(0, 2) == 0) {
+          args.push_back(Constant());
+        } else {
+          extra.push_back(next_var_++);
+          args.push_back(Term::Var(extra.back()));
+        }
+      }
+      atoms.push_back(FoFormula::MakeAtom(Name(r), std::move(args)));
+    } while (!uncovered.empty() && atoms.size() < 4);
+    FoFormula body = FoFormula::And(std::move(atoms));
+    for (int v : uncovered) {  // an unlucky draw: cover by equality
+      body = FoFormula::And(body, FoFormula::Eq(Term::Var(v), Constant()));
+    }
+    return FoFormula::Exists(extra, std::move(body));
+  }
+
+  // A side condition whose free variables lie in `vars`.
+  FoFormula Condition(const std::vector<int>& vars, int depth) {
+    auto var = [&]() { return Term::Var(vars[Pick(vars.size())]); };
+    auto atom_over = [&](std::vector<Term> pool) {
+      const int r = Int(0, kRelations - 1);
+      std::vector<Term> args;
+      for (size_t c = 0; c < arity_[r]; ++c) {
+        args.push_back(pool.empty() || Int(0, 3) == 0
+                           ? Constant()
+                           : pool[Pick(pool.size())]);
+      }
+      return FoFormula::MakeAtom(Name(r), std::move(args));
+    };
+    std::vector<Term> pool;
+    for (int v : vars) pool.push_back(Term::Var(v));
+    switch (Int(0, 8)) {
+      case 0:  // anti-join on an atom
+        return FoFormula::Not(atom_over(pool));
+      case 1:  // (in)equalities
+        if (vars.empty()) break;
+        return Int(0, 1) == 0 ? FoFormula::Neq(var(), Int(0, 1) == 0
+                                                          ? var()
+                                                          : Constant())
+                              : FoFormula::Eq(var(), Constant());
+      case 2: {  // guarded ∀y (A(x̄, y) → B(y))
+        const int y = next_var_++;
+        std::vector<Term> guard_pool = pool;
+        guard_pool.push_back(Term::Var(y));
+        guard_pool.push_back(Term::Var(y));
+        return FoFormula::Forall(
+            y, FoFormula::Implies(atom_over(guard_pool),
+                                  atom_over({Term::Var(y)})));
+      }
+      case 3: {  // closed guard, maybe negated
+        const int z = next_var_++;
+        FoFormula any = FoFormula::Exists(z, atom_over({Term::Var(z)}));
+        return Int(0, 1) == 0 ? FoFormula::Not(any) : any;
+      }
+      case 4:  // a filter disjunction
+        if (depth <= 0) break;
+        return FoFormula::Or(Condition(vars, depth - 1),
+                             Condition(vars, depth - 1));
+      case 5: {  // shadowed quantifier: the inner x is not the outer one
+        if (vars.empty()) break;
+        const int x = vars[Pick(vars.size())];
+        return FoFormula::Exists(x, atom_over({Term::Var(x)}));
+      }
+      case 6: {  // nested negation: ¬∃y (A(x̄, y) ∧ ¬B(y))
+        const int y = next_var_++;
+        std::vector<Term> inner = pool;
+        inner.push_back(Term::Var(y));
+        return FoFormula::Not(FoFormula::Exists(
+            y, FoFormula::And(atom_over(inner),
+                              FoFormula::Not(atom_over({Term::Var(y)})))));
+      }
+      case 7: {  // a parameter only the context binds: ¬∃y (A(y) ∧ y ≠ x)
+        if (vars.empty()) break;
+        const int y = next_var_++;
+        return FoFormula::Not(FoFormula::Exists(
+            y, FoFormula::And(atom_over({Term::Var(y)}),
+                              FoFormula::Neq(Term::Var(y), var()))));
+      }
+      default:
+        if (depth > 0) {
+          return FoFormula::Not(Positive(vars, depth - 1));
+        }
+    }
+    return FoFormula::Not(atom_over(pool));
+  }
+
+  // Formulas that are not safe-range: the interpreter must run them.
+  FoFormula Unsafe(const std::vector<int>& vars) {
+    const int y = next_var_++;
+    const Term x = vars.empty() ? Term::Var(y) : Term::Var(vars[0]);
+    FoFormula a = FoFormula::MakeAtom(Name(0), {x});
+    switch (Int(0, 3)) {
+      case 0:  // a tautology over the active domain
+        return FoFormula::And(
+            Positive(vars, 0),
+            FoFormula::Forall(y, FoFormula::Or(
+                                     FoFormula::MakeAtom(Name(1), {Term::Var(y)}),
+                                     FoFormula::Not(FoFormula::MakeAtom(
+                                         Name(1), {Term::Var(y)})))));
+      case 1:  // an unrestricted negation
+        return FoFormula::Exists(y, FoFormula::Not(FoFormula::MakeAtom(
+                                        Name(0), {Term::Var(y)})));
+      case 2:  // a quantifier over nothing
+        return FoFormula::And(Positive(vars, 0), FoFormula::Exists(y, FoFormula::True()));
+      default: {  // a branch that binds nothing
+        FoFormula either =
+            FoFormula::Or(a, FoFormula::Not(FoFormula::MakeAtom(Name(2), {x})));
+        return vars.empty() ? FoFormula::Exists(y, either)
+                            : FoFormula::And(Positive(vars, 0), either);
+      }
+    }
+  }
+
+  Relation RandomRelation(size_t arity) {
+    Relation rel(arity);
+    for (int t = 0, n = Int(0, 5); t < n; ++t) {
+      Tuple tuple;
+      for (size_t c = 0; c < arity; ++c) tuple.push_back(RandomValue());
+      rel.Insert(std::move(tuple));
+    }
+    return rel;
+  }
+
+  Value RandomValue() {
+    switch (Int(0, 4)) {
+      case 0:
+        return Value::Str(Int(0, 1) == 0 ? "a" : "b");
+      case 1:
+        return Value::Null(1);
+      default:
+        return Value::Int(Int(1, 3));
+    }
+  }
+
+  // Mostly values from the databases' pool, sometimes one outside it.
+  Term Constant() {
+    if (Int(0, 4) == 0) {
+      return Int(0, 1) == 0 ? Term::Int(77) : Term::Str("zz");
+    }
+    return Term::Const(RandomValue());
+  }
+
+  size_t Pick(size_t n) {
+    return static_cast<size_t>(Int(0, static_cast<int>(n) - 1));
+  }
+  int Int(int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng_);
+  }
+
+  std::mt19937_64 rng_;
+  size_t arity_[kRelations] = {};
+  int next_var_ = 10;
+};
+
+TEST(QueryEngineTest, CompiledFoMatchesInterpreterDifferential) {
+  FoFuzzer fuzzer(20261018);
+  int compiled = 0;
+  const int kCases = 2500;
+  for (int i = 0; i < kCases; ++i) {
+    RandomFo c = fuzzer.Next();
+    ASSERT_FALSE(c.query.Validate().has_value()) << c.query.ToString();
+    const Relation naive = c.query.EvaluateNaive(c.db);
+    const Relation fast = c.query.Evaluate(c.db);
+    ASSERT_EQ(fast, naive) << "case " << i << " ("
+                           << (c.query.compiled() ? "compiled" : "interpreted")
+                           << "): " << c.query.ToString() << "\nover\n"
+                           << c.db.ToString();
+    ASSERT_EQ(c.query.EvaluatesNonempty(c.db), !naive.empty())
+        << "case " << i << ": " << c.query.ToString();
+    compiled += c.query.compiled() ? 1 : 0;
+  }
+  // Most cases must exercise the compiled path, and some the fallback.
+  EXPECT_GE(compiled, kCases * 3 / 4);
+  EXPECT_LT(compiled, kCases);
+}
+
+TEST(QueryEngineTest, CompiledFoEdgeCases) {
+  auto v = [](int i) { return Term::Var(i); };
+  Database db;
+  Relation r(2);
+  r.Insert({Value::Int(1), Value::Int(2)});
+  r.Insert({Value::Int(2), Value::Int(2)});
+  db.Set("R", r);
+  Relation s(1);
+  s.Insert({Value::Int(2)});
+  db.Set("S", s);
+  auto check = [&](const FoQuery& q, size_t expected_rows) {
+    ASSERT_TRUE(q.compiled()) << q.ToString();
+    const Relation naive = q.EvaluateNaive(db);
+    EXPECT_EQ(q.Evaluate(db), naive) << q.ToString();
+    EXPECT_EQ(naive.size(), expected_rows) << q.ToString();
+  };
+  // Nullary head over a closed formula: {()} or {}.
+  check(FoQuery({}, FoFormula::Exists({0, 1}, FoFormula::MakeAtom("R", {v(0), v(1)}))), 1);
+  check(FoQuery({}, FoFormula::Not(FoFormula::Exists(0, FoFormula::MakeAtom("S", {v(0)})))), 0);
+  // Head constant outside adom, repeated head variable.
+  check(FoQuery({Term::Int(77), v(0), v(0)},
+                FoFormula::Exists(1, FoFormula::MakeAtom("R", {v(0), v(1)}))),
+        2);
+  // Equality-only binding to a constant outside adom.
+  check(FoQuery({v(0)}, FoFormula::Eq(v(0), Term::Int(77))), 1);
+  // Guarded ∀: x's R-successors all lie in S.
+  check(FoQuery({v(0)},
+                FoFormula::And(
+                    FoFormula::Exists(1, FoFormula::MakeAtom("R", {v(0), v(1)})),
+                    FoFormula::Forall(1, FoFormula::Implies(
+                                             FoFormula::MakeAtom("R", {v(0), v(1)}),
+                                             FoFormula::MakeAtom("S", {v(1)}))))),
+        2);
+  // Absent relation and wrong arity: the atom is false, its negation true.
+  check(FoQuery({v(0)}, FoFormula::And(FoFormula::MakeAtom("S", {v(0)}),
+                                       FoFormula::Not(FoFormula::MakeAtom(
+                                           "Missing", {v(0)})))),
+        1);
+  check(FoQuery({v(0)}, FoFormula::And(FoFormula::MakeAtom("S", {v(0)}),
+                                       FoFormula::MakeAtom("R", {v(0)}))),
+        0);
+  // Empty relation.
+  db.Set("E", Relation(1));
+  check(FoQuery({v(0)}, FoFormula::Or(FoFormula::MakeAtom("E", {v(0)}),
+                                      FoFormula::MakeAtom("S", {v(0)}))),
+        1);
+}
+
+// Every FO query of a service, transitions and syntheses.
+std::vector<logic::FoQuery> FoQueriesOf(const core::Sws& sws) {
+  std::vector<logic::FoQuery> out;
+  for (int q = 0; q < sws.num_states(); ++q) {
+    for (const auto& t : sws.Successors(q)) {
+      if (t.query.is_fo()) out.push_back(t.query.fo());
+    }
+    if (sws.Synthesis(q).is_fo()) out.push_back(sws.Synthesis(q).fo());
+  }
+  return out;
+}
+
+TEST(QueryEngineTest, PaperServicesTakeTheCompiledPath) {
+  // Figure 1: ψ0 and the recursive ψ'_a.
+  for (const core::Sws& sws : {models::MakeTravelService().sws,
+                               models::MakeTravelServiceRecursive().sws}) {
+    std::vector<logic::FoQuery> queries = FoQueriesOf(sws);
+    ASSERT_FALSE(queries.empty());
+    for (const auto& q : queries) EXPECT_TRUE(q.compiled()) << q.ToString();
+  }
+  // Section 3: every rule of the peer embedding.
+  {
+    auto v = [](int i) { return Term::Var(i); };
+    rel::Schema schema;
+    schema.Add(rel::RelationSchema("Item", {"id", "price"}));
+    models::Peer shop(schema, 1, 1, 2);
+    shop.set_state_rule(FoFormula::And(
+        FoFormula::Or(FoFormula::MakeAtom(models::Peer::kPeerState, {v(0)}),
+                      FoFormula::MakeAtom(models::Peer::kPeerInput, {v(0)})),
+        FoFormula::Exists(1, FoFormula::MakeAtom("Item", {v(0), v(1)}))));
+    shop.set_action_rule(FoFormula::And(
+        {FoFormula::MakeAtom(models::Peer::kPeerState, {v(0)}),
+         FoFormula::MakeAtom(models::Peer::kPeerInput, {v(0)}),
+         FoFormula::MakeAtom("Item", {v(0), v(1)})}));
+    std::vector<logic::FoQuery> queries =
+        FoQueriesOf(models::PeerToSws(shop));
+    ASSERT_EQ(queries.size(), 7u);
+    for (const auto& q : queries) EXPECT_TRUE(q.compiled()) << q.ToString();
+  }
+  // PL-SWS over relations: every BoolQuery condition.
+  core::WorkloadGenerator gen(4242);
+  core::WorkloadGenerator::PlSwsParams params;
+  params.allow_recursion = true;
+  for (int i = 0; i < 50; ++i) {
+    for (const auto& q : FoQueriesOf(core::PlSwsToRelational(gen.RandomPlSws(params)))) {
+      EXPECT_TRUE(q.compiled()) << q.ToString();
+    }
+  }
+}
+
+TEST(QueryEngineTest, HogTautologiesStayInterpreted) {
+  // The governed hogs of chaos_test and governor_test: all-universal
+  // tautologies over unused quantified variables. Not safe-range, so the
+  // interpreter runs them and they stay |adom|^depth hogs.
+  auto tautology = [](const std::string& rel, std::vector<Term> args,
+                      int depth) {
+    FoFormula body = FoFormula::Or(FoFormula::MakeAtom(rel, args),
+                                   FoFormula::Not(FoFormula::MakeAtom(rel, args)));
+    for (int i = depth - 1; i >= 0; --i) {
+      body = FoFormula::Forall(i, std::move(body));
+    }
+    return body;
+  };
+  FoQuery chaos_hog({Term::Str("ins"), Term::Str("Log"), Term::Int(1)},
+                    tautology(core::kMsgRelation, {Term::Var(0)}, 5));
+  FoQuery governor_hog({Term::Int(1)},
+                       tautology("E", {Term::Var(0), Term::Var(1)}, 8));
+  EXPECT_FALSE(chaos_hog.compiled());
+  EXPECT_FALSE(governor_hog.compiled());
 }
 
 // ---------------------------------------------------------------------------

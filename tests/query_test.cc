@@ -96,6 +96,33 @@ TEST(RelQueryTest, EvaluatesNonemptyAgreesWithEvaluate) {
   EXPECT_TRUE(RelQuery::Cq(hit).EvaluatesNonempty(db));
   EXPECT_FALSE(RelQuery::Cq(miss).EvaluatesNonempty(db));
   EXPECT_EQ(RelQuery::Cq(miss).Evaluate(db).empty(), true);
+
+  // FO on both paths: safe-range queries run compiled (stopping at the
+  // first match), the rest on the interpreter.
+  const Term x = Term::Var(0), y = Term::Var(1);
+  const std::vector<FoQuery> fo_queries = {
+      // compiled: R(x, y) ∧ ¬S(x), hit; S(x) ∧ x = 99, miss
+      FoQuery({x}, FoFormula::Exists(
+                       1, FoFormula::And(FoFormula::MakeAtom("R", {x, y}),
+                                         FoFormula::Not(FoFormula::MakeAtom(
+                                             "S", {x}))))),
+      FoQuery({x}, FoFormula::And(FoFormula::MakeAtom("S", {x}),
+                                  FoFormula::Eq(x, Term::Int(99)))),
+      // interpreted: ¬S(x) (domain-dependent), hit; ∀y (S(y) ∧ y = 3), miss
+      FoQuery({x}, FoFormula::Not(FoFormula::MakeAtom("S", {x}))),
+      FoQuery({}, FoFormula::Forall(
+                      1, FoFormula::And(FoFormula::MakeAtom("S", {y}),
+                                        FoFormula::Eq(y, Term::Int(3))))),
+  };
+  const bool compiled[] = {true, true, false, false};
+  const bool nonempty[] = {true, false, true, false};
+  for (size_t i = 0; i < fo_queries.size(); ++i) {
+    const RelQuery q = RelQuery::Fo(fo_queries[i]);
+    EXPECT_EQ(fo_queries[i].compiled(), compiled[i]) << q.ToString();
+    EXPECT_EQ(q.EvaluatesNonempty(db), nonempty[i]) << q.ToString();
+    EXPECT_EQ(q.EvaluatesNonempty(db), !q.Evaluate(db).empty())
+        << q.ToString();
+  }
 }
 
 TEST(RelQueryTest, ActRelationNaming) {
