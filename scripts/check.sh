@@ -146,8 +146,12 @@ run_net() {
     serde_fuzz
   ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" ctest --test-dir build-asan \
     -L net --output-on-failure -j 1
-  ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" ctest --test-dir build-asan \
-    -R 'SocketNodeChaosTest|Wire' --output-on-failure -j 1
+  # ctest registers one test per binary, so the socket chaos sweeps and
+  # serde_fuzz's wire cases are selected with gtest filters instead.
+  ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
+    ./build-asan/tests/node_chaos_test --gtest_filter='SocketNodeChaosTest.*'
+  ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
+    ./build-asan/tests/serde_fuzz --gtest_filter='*Wire*'
 }
 
 run_chaos() {

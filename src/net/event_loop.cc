@@ -27,7 +27,7 @@ EventLoop::~EventLoop() {
 }
 
 void EventLoop::AddFd(int fd, uint32_t events, FdHandler handler) {
-  handlers_[fd] = std::move(handler);
+  handlers_[fd] = std::make_shared<const FdHandler>(std::move(handler));
   epoll_event ev{};
   ev.events = events;
   ev.data.fd = fd;
@@ -120,12 +120,12 @@ void EventLoop::Run() {
         continue;
       }
       // A handler earlier in this batch may have closed this fd; the
-      // fresh lookup (and the copy, so a handler can DelFd itself)
-      // makes that safe.
+      // fresh lookup (and the pinned reference, so a handler can DelFd
+      // itself) makes that safe.
       auto it = handlers_.find(fd);
       if (it == handlers_.end()) continue;
-      FdHandler handler = it->second;
-      handler(events[i].events);
+      const std::shared_ptr<const FdHandler> handler = it->second;
+      (*handler)(events[i].events);
     }
     DrainQueue();
   }

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -28,9 +29,9 @@ class EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Fd registration. Loop-thread only (or before Run starts). The
-  /// handler is copied out before each invocation, so it may DelFd its
-  /// own fd (typical close-on-error path).
+  /// Fd registration. Loop-thread only (or before Run starts). Run
+  /// holds a reference to the handler while invoking it, so it may DelFd
+  /// its own fd (typical close-on-error path).
   void AddFd(int fd, uint32_t events, FdHandler handler);
   void ModFd(int fd, uint32_t events);
   void DelFd(int fd);
@@ -58,7 +59,9 @@ class EventLoop {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   // Loop-thread-owned.
-  std::unordered_map<int, FdHandler> handlers_;
+  // Shared so dispatch pins a handler with a refcount bump instead of
+  // copying the std::function (a heap allocation for most captures).
+  std::unordered_map<int, std::shared_ptr<const FdHandler>> handlers_;
   std::chrono::milliseconds tick_period_{0};
   std::function<void()> tick_;
   // Cross-thread surface.

@@ -16,27 +16,70 @@
 
 namespace sws::net {
 
-/// One accepted connection. Split ownership: everything except `mu`'s
-/// little island belongs to the loop thread; runtime workers append
-/// reply bytes to `staged` under `mu` and never touch the socket.
+/// One accepted connection. Split ownership: the decoder, hello state
+/// and read clock belong to the loop thread; the send queue belongs to
+/// `mu`. Any thread may write the socket, but only while holding `mu`:
+/// the loop flushes replies once per read chunk, and a runtime worker
+/// writes its outcome frame itself when nothing is queued ahead of it.
+/// The loop alone owns the fd's epoll interest (EPOLLOUT).
 struct RpcServer::Connection {
+  enum class Flush { kDrained, kPending, kDead };
+
   int fd = -1;
   FrameDecoder decoder;
   bool hello_done = false;
   bool gone = false;  // loop-side: removed from the map, fd closed
-  bool want_write = false;
-  std::string out;  // loop-owned write buffer; [out_off, end) unsent
-  size_t out_off = 0;
+  bool epollout = false;  // loop-side: EPOLLOUT registered
   std::chrono::steady_clock::time_point last_read;
-  std::chrono::steady_clock::time_point last_progress;
 
   std::mutex mu;
-  std::string staged;  // worker-appended encoded frames
-  bool closed = false;  // workers observe this and shed instead
+  std::string out;  // encoded frames; [out_off, end) unsent
+  size_t out_off = 0;
+  /// Bytes are pending and EPOLLOUT is (or is about to be) armed; a
+  /// worker finding this set appends and leaves the write to the loop.
+  bool want_write = false;
+  bool closed = false;  // set before close(fd); writers shed instead
+  std::chrono::steady_clock::time_point last_progress;
 
-  /// Bytes queued and not yet on the wire (out remainder + staged);
-  /// read lock-free on the submit path for the backpressure decision.
+  /// Unsent bytes in `out`; read lock-free on the submit path for the
+  /// backpressure decision.
   std::atomic<size_t> queued{0};
+
+  /// The one flush routine, shared by the loop and the workers: writes
+  /// `out` until it drains or the socket is full. Caller holds `mu` and
+  /// has checked `closed`.
+  Flush WriteLocked(rt::RuntimeStats* stats) {
+    Flush result = Flush::kDrained;
+    while (out_off < out.size()) {
+      stats->OnNetWrite();
+      ssize_t n = send(fd, out.data() + out_off, out.size() - out_off,
+                       MSG_NOSIGNAL);
+      if (n > 0) {
+        out_off += static_cast<size_t>(n);
+        last_progress = std::chrono::steady_clock::now();
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      result = (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+                   ? Flush::kPending
+                   : Flush::kDead;
+      break;
+    }
+    if (out_off >= out.size()) {
+      out.clear();
+      out_off = 0;
+    }
+    queued.store(out.size() - out_off, std::memory_order_relaxed);
+    return result;
+  }
+
+  /// Loop thread, `mu` held, not closed: matches the fd's epoll
+  /// interest to `want_write`.
+  void SyncInterest(EventLoop& loop) {
+    if (want_write == epollout) return;
+    epollout = want_write;
+    loop.ModFd(fd, epollout ? (EPOLLIN | EPOLLOUT) : EPOLLIN);
+  }
 };
 
 /// Shared with outcome callbacks (weak), so a destroyed server turns
@@ -76,17 +119,11 @@ void RpcServer::Stop() {
   }
   core_->loop.Stop();
   loop_thread_.join();
-  // Loop is dead: connection teardown is single-threaded now. Workers
-  // may still hold Connection pointers; marking closed under mu makes
-  // their late outcome deliveries count as shed.
+  // Loop is dead. Workers may still hold Connection pointers; marking
+  // closed under mu before the close makes their late outcome deliveries
+  // count as shed instead of writing to a closed (or reused) fd.
   for (auto& [fd, conn] : core_->conns) {
-    size_t shed;
-    {
-      std::lock_guard<std::mutex> conn_lock(conn->mu);
-      conn->closed = true;
-      shed = (conn->out.size() - conn->out_off) + conn->staged.size();
-    }
-    stats_->OnNetBytesShed(shed);
+    MarkClosed(*conn);
     conn->gone = true;
     close(conn->fd);
   }
@@ -142,6 +179,9 @@ void RpcServer::ConnReadable(const std::shared_ptr<Connection>& conn) {
         return;
       }
       if (!DispatchFrames(conn)) return;
+      // One write for every reply this chunk produced.
+      FlushConn(conn);
+      if (conn->gone) return;
       continue;
     }
     if (n == 0) {  // orderly peer close
@@ -255,7 +295,8 @@ void RpcServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
   }
   // The callback runs on a pool worker, possibly after this server is
   // stopped (the runtime outlives it): it touches only the connection's
-  // staging island and a weak Core. stats outlives both (runtime-owned).
+  // mu-guarded send queue and a weak Core. stats outlives both
+  // (runtime-owned).
   rt::RuntimeStats* stats = stats_;
   std::weak_ptr<Core> weak_core = core_;
   sopts.callback = [stats, weak_core, conn, request_id](rt::Outcome outcome) {
@@ -269,52 +310,29 @@ void RpcServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
     if (reply.has_output) reply.output = outcome.session->output;
     std::string bytes =
         EncodeFrame(MsgType::kOutcome, EncodeOutcomeReply(reply));
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->closed) {
-        stats->OnNetBytesShed(bytes.size());
-        return;
-      }
-      conn->staged.append(bytes);
-      conn->queued.fetch_add(bytes.size(), std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (conn->closed) {
+      stats->OnNetBytesShed(bytes.size());
+      return;
     }
+    // Bytes already queued belong to a flush the loop still owes (its
+    // end-of-chunk flush, or EPOLLOUT): append and leave it to that.
+    const bool idle = conn->out.empty() && !conn->want_write;
+    conn->out.append(bytes);
+    if (!idle) {
+      conn->queued.fetch_add(bytes.size(), std::memory_order_relaxed);
+      return;
+    }
+    // Nothing ahead of us: write it here rather than hop to the loop.
+    // A short write (or a dead peer, which the loop then discovers)
+    // leaves the rest queued and asks the loop to arm EPOLLOUT.
+    if (conn->WriteLocked(stats) == Connection::Flush::kDrained) return;
+    conn->want_write = true;
     if (auto core = weak_core.lock()) {
-      core->loop.RunInLoop([core, conn] {
-        // Flush inline: splice staged bytes and write (same logic as
-        // FlushConn, but without touching the possibly-dead server).
-        if (conn->gone) return;
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          if (!conn->staged.empty()) {
-            conn->out.append(conn->staged);
-            conn->staged.clear();
-          }
-        }
-        while (conn->out_off < conn->out.size()) {
-          ssize_t n = write(conn->fd, conn->out.data() + conn->out_off,
-                            conn->out.size() - conn->out_off);
-          if (n > 0) {
-            conn->out_off += static_cast<size_t>(n);
-            conn->last_progress = std::chrono::steady_clock::now();
-            continue;
-          }
-          break;  // EAGAIN (EPOLLOUT below) or a dead peer (sweep reaps)
-        }
-        if (conn->out_off >= conn->out.size()) {
-          conn->out.clear();
-          conn->out_off = 0;
-        }
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          conn->queued.store(
-              (conn->out.size() - conn->out_off) + conn->staged.size(),
-              std::memory_order_relaxed);
-        }
-        const bool want = conn->out_off < conn->out.size();
-        if (want != conn->want_write) {
-          conn->want_write = want;
-          core->loop.ModFd(conn->fd, want ? (EPOLLIN | EPOLLOUT) : EPOLLIN);
-        }
+      EventLoop* loop = &core->loop;
+      loop->RunInLoop([loop, conn] {
+        std::lock_guard<std::mutex> lock(conn->mu);
+        if (!conn->closed) conn->SyncInterest(*loop);
       });
     }
   };
@@ -336,54 +354,26 @@ void RpcServer::SendFrame(const std::shared_ptr<Connection>& conn,
                           MsgType type, const std::string& payload) {
   if (conn->gone) return;
   std::string bytes = EncodeFrame(type, payload);
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->closed) {
-      stats_->OnNetBytesShed(bytes.size());
-      return;
-    }
-    conn->staged.append(bytes);
-    conn->queued.fetch_add(bytes.size(), std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(conn->mu);
+  if (conn->closed) {
+    stats_->OnNetBytesShed(bytes.size());
+    return;
   }
-  FlushConn(conn);
+  conn->out.append(bytes);
+  conn->queued.fetch_add(bytes.size(), std::memory_order_relaxed);
 }
 
 void RpcServer::FlushConn(const std::shared_ptr<Connection>& conn) {
   if (conn->gone) return;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    if (!conn->staged.empty()) {
-      conn->out.append(conn->staged);
-      conn->staged.clear();
+    if (conn->WriteLocked(stats_) != Connection::Flush::kDead) {
+      conn->want_write = !conn->out.empty();
+      conn->SyncInterest(core_->loop);
+      return;
     }
   }
-  while (conn->out_off < conn->out.size()) {
-    ssize_t n = write(conn->fd, conn->out.data() + conn->out_off,
-                      conn->out.size() - conn->out_off);
-    if (n > 0) {
-      conn->out_off += static_cast<size_t>(n);
-      conn->last_progress = std::chrono::steady_clock::now();
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
-    CloseConn(conn);  // peer is gone; unsent bytes are shed by the close
-    return;
-  }
-  if (conn->out_off >= conn->out.size()) {
-    conn->out.clear();
-    conn->out_off = 0;
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->queued.store((conn->out.size() - conn->out_off) +
-                           conn->staged.size(),
-                       std::memory_order_relaxed);
-  }
-  const bool want = conn->out_off < conn->out.size();
-  if (want != conn->want_write) {
-    conn->want_write = want;
-    core_->loop.ModFd(conn->fd, want ? (EPOLLIN | EPOLLOUT) : EPOLLIN);
-  }
+  CloseConn(conn);  // peer is gone; unsent bytes are shed by the close
 }
 
 void RpcServer::ConnWritable(const std::shared_ptr<Connection>& conn) {
@@ -393,25 +383,33 @@ void RpcServer::ConnWritable(const std::shared_ptr<Connection>& conn) {
 void RpcServer::RejectConn(const std::shared_ptr<Connection>& conn,
                            uint8_t code, const std::string& message) {
   if (conn->gone) return;
-  // Best-effort typed goodbye: one nonblocking write, no queueing — the
-  // connection is being cut either way.
-  std::string bytes =
-      EncodeFrame(MsgType::kError, EncodeErrorReply({0, code, message}));
-  [[maybe_unused]] ssize_t n = write(conn->fd, bytes.data(), bytes.size());
+  // Best-effort typed goodbye behind the replies already queued: one
+  // nonblocking flush, no waiting — the connection is being cut either
+  // way, and what the socket did not take is shed by the close.
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->out.append(
+        EncodeFrame(MsgType::kError, EncodeErrorReply({0, code, message})));
+    conn->WriteLocked(stats_);
+  }
   CloseConn(conn);
+}
+
+void RpcServer::MarkClosed(Connection& conn) {
+  size_t shed;
+  {
+    std::lock_guard<std::mutex> lock(conn.mu);
+    conn.closed = true;
+    shed = conn.out.size() - conn.out_off;
+    conn.queued.store(0, std::memory_order_relaxed);
+  }
+  stats_->OnNetBytesShed(shed);
 }
 
 void RpcServer::CloseConn(const std::shared_ptr<Connection>& conn) {
   if (conn->gone) return;
   conn->gone = true;
-  size_t shed;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->closed = true;
-    shed = (conn->out.size() - conn->out_off) + conn->staged.size();
-    conn->queued.store(0, std::memory_order_relaxed);
-  }
-  stats_->OnNetBytesShed(shed);
+  MarkClosed(*conn);
   core_->loop.DelFd(conn->fd);
   close(conn->fd);
   core_->conns.erase(conn->fd);
@@ -426,9 +424,16 @@ void RpcServer::Sweep() {
   for (const auto& [fd, conn] : core_->conns) conns.push_back(conn);
   for (const auto& conn : conns) {
     if (conn->gone) continue;
-    const auto last_activity = std::max(conn->last_read, conn->last_progress);
-    const bool has_backlog = conn->queued.load(std::memory_order_relaxed) > 0;
-    if (has_backlog && now - conn->last_progress > options_.write_timeout) {
+    std::chrono::steady_clock::time_point last_progress;
+    bool has_backlog;
+    {
+      // Workers write too, so the progress clock is read under mu.
+      std::lock_guard<std::mutex> lock(conn->mu);
+      last_progress = conn->last_progress;
+      has_backlog = !conn->out.empty();
+    }
+    const auto last_activity = std::max(conn->last_read, last_progress);
+    if (has_backlog && now - last_progress > options_.write_timeout) {
       // Writer wedged: the peer took our acks' TCP window to zero and
       // sat on it. Classic slow-loris read variant.
       stats_->OnNetConnReaped();

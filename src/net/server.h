@@ -35,9 +35,13 @@ namespace sws::net {
 ///  * accept overload — past max_connections new peers are accepted and
 ///    immediately closed (cheapest honest signal), counted as reaped.
 ///
-/// All connection state is owned by the loop thread; runtime workers
-/// touch only a per-connection staging buffer under its own mutex, so
-/// outcome streaming never blocks a worker on the network.
+/// Replies are coalesced: the loop stages the acks of one read chunk and
+/// sends them with one write. Any thread may write a connection's
+/// socket, but only under its mutex; a runtime worker writes its own
+/// outcome frame when nothing is queued ahead of it, and otherwise
+/// appends it to the queue the loop is about to flush. Writes are
+/// nonblocking, so outcome streaming never blocks a worker on the
+/// network; the loop alone arms and disarms EPOLLOUT.
 class RpcServer {
  public:
   struct Options {
@@ -98,16 +102,19 @@ class RpcServer {
   bool DispatchFrames(const std::shared_ptr<Connection>& conn);
   void HandleSubmit(const std::shared_ptr<Connection>& conn,
                     std::string_view payload);
-  /// Queues a frame for sending on the loop thread.
+  /// Queues a frame; the end-of-chunk FlushConn sends it.
   void SendFrame(const std::shared_ptr<Connection>& conn, MsgType type,
                  const std::string& payload);
   /// Typed-error close: best-effort kError frame, then CloseConn.
   void RejectConn(const std::shared_ptr<Connection>& conn, uint8_t code,
                   const std::string& message);
   void CloseConn(const std::shared_ptr<Connection>& conn);
+  /// Sets `closed` under the connection's mutex (so no worker writes
+  /// the fd after it is closed) and counts the unsent bytes as shed.
+  void MarkClosed(Connection& conn);
   void Sweep();
-  /// Splices worker-staged bytes into the loop-owned buffer and writes
-  /// as much as the socket accepts; manages EPOLLOUT registration.
+  /// Writes as much of the send queue as the socket accepts and arms
+  /// EPOLLOUT for the rest; closes the connection on a dead peer.
   void FlushConn(const std::shared_ptr<Connection>& conn);
 
   rt::ServiceRuntime* const runtime_;

@@ -83,6 +83,7 @@ std::string StatsSnapshot::ToString() const {
       << " net_conns_reaped=" << net_conns_reaped
       << " net_frames_rejected=" << net_frames_rejected
       << " net_bytes_shed=" << net_bytes_shed
+      << " net_writes=" << net_writes
       << " pressure_level=" << pressure_level
       << " queue_depth=" << queue_depth << " runs=" << total_runs()
       << " p50_us<=" << ApproxLatencyMicros(0.5)
@@ -173,6 +174,7 @@ std::string StatsSnapshot::ToJson() const {
       {"net_conns_reaped", net_conns_reaped},
       {"net_frames_rejected", net_frames_rejected},
       {"net_bytes_shed", net_bytes_shed},
+      {"net_writes", net_writes},
       {"pressure_level", pressure_level},
       {"queue_depth", queue_depth},
       {"runs", total_runs()},
@@ -238,6 +240,7 @@ StatsSnapshot RuntimeStats::Snapshot(uint64_t queue_depth,
   snap.net_frames_rejected =
       net_frames_rejected_.load(std::memory_order_relaxed);
   snap.net_bytes_shed = net_bytes_shed_.load(std::memory_order_relaxed);
+  snap.net_writes = net_writes_.load(std::memory_order_relaxed);
   // promotions / segments_shipped / follower_lag_hwm and the failover
   // counters (peer_suspicions, auto_promotions, epoch_fencing_rejects,
   // catchup_bytes_shipped) are owned by the replication layer;

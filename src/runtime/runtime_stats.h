@@ -68,6 +68,7 @@ struct StatsSnapshot {
   uint64_t net_frames_rejected = 0;  // malformed/oversize/corrupt wire frames
   uint64_t net_bytes_shed = 0;       // reply bytes dropped on closed/wedged
                                      // connections (backpressure)
+  uint64_t net_writes = 0;           // socket write calls by the server
   uint64_t pressure_level = 0;     // current degradation level (gauge, 0-3)
   uint64_t queue_depth = 0;        // admitted but not yet completed
   /// Per-shard session-run latency histograms (delimiter runs only; the
@@ -173,6 +174,7 @@ class RuntimeStats {
   void OnNetBytesShed(uint64_t n) {
     if (n > 0) net_bytes_shed_.fetch_add(n, std::memory_order_relaxed);
   }
+  void OnNetWrite() { net_writes_.fetch_add(1, std::memory_order_relaxed); }
 
   void RecordRunLatency(size_t shard, uint64_t micros);
 
@@ -211,6 +213,7 @@ class RuntimeStats {
   std::atomic<uint64_t> net_conns_reaped_{0};
   std::atomic<uint64_t> net_frames_rejected_{0};
   std::atomic<uint64_t> net_bytes_shed_{0};
+  std::atomic<uint64_t> net_writes_{0};
   std::vector<LatencyHistogram> shard_latency_;
 };
 

@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "net/socket_transport.h"
 #include "net/wire.h"
 #include "runtime/runtime.h"
+#include "sws/execution.h"
 #include "sws/fault.h"
 #include "util/common.h"
 
@@ -442,6 +444,9 @@ TEST_F(NetServerTest, SubmitRoundtripAndAdmin) {
   std::string json;
   ASSERT_TRUE(client.GetStats(&json).ok());
   EXPECT_NE(json.find("\"net_conns_accepted\":1"), std::string::npos) << json;
+  // Every reply so far reached the socket through counted writes.
+  EXPECT_NE(json.find("\"net_writes\":"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"net_writes\":0"), std::string::npos) << json;
   EXPECT_NE(json.find("\"submitted\":3"), std::string::npos) << json;
   client.Close();
 }
@@ -636,6 +641,143 @@ TEST_F(NetServerTest, HardWatermarkRejectsAndWedgedWriterReaped) {
     }
   }
   EXPECT_TRUE(saw_reject || stats.net_bytes_shed > 0);
+}
+
+/// Reads replies off `raw` until `done` holds or the connection ends
+/// (EOF, error or the socket's 5 s timeout); returns false in the
+/// latter case. Fails the test on an undecodable stream.
+template <typename OnFrame, typename Done>
+bool ReadReplies(RawConn& raw, OnFrame on_frame, Done done) {
+  FrameDecoder decoder;
+  char buf[64 * 1024];
+  while (!done()) {
+    ssize_t n = read(raw.fd(), buf, sizeof(buf));
+    if (n <= 0) return false;
+    if (!decoder.Feed(std::string_view(buf, static_cast<size_t>(n)))) {
+      ADD_FAILURE() << "undecodable reply stream";
+      return false;
+    }
+    Frame frame;
+    while (decoder.Next(&frame) == FrameDecoder::Result::kFrame) {
+      on_frame(frame);
+    }
+  }
+  return true;
+}
+
+std::string SubmitFrame(uint64_t request_id, const std::string& session_id,
+                        const Relation& message) {
+  SubmitRequest request;
+  request.request_id = request_id;
+  request.session_id = session_id;
+  request.message = message;
+  return EncodeFrame(MsgType::kSubmit, EncodeSubmitRequest(request));
+}
+
+// A whole session — five messages and the delimiter — pipelined in one
+// write, as the Section 3 peer sends it. The loop answers the chunk's
+// six acks with one socket write and the worker writes the outcome
+// itself, so the session costs at most two writes (one per reply, seven,
+// without coalescing).
+TEST_F(NetServerTest, PipelinedSessionCoalescesReplyWrites) {
+  StartAll();
+  RawConn raw;
+  ASSERT_TRUE(raw.Connect(server_->port()));
+  ASSERT_TRUE(raw.SendHello());
+  std::vector<Relation> messages;
+  std::string burst;
+  for (uint64_t id = 1; id <= 5; ++id) {
+    messages.push_back(Msg(static_cast<int64_t>(100 + id)));
+    burst += SubmitFrame(id, "pipelined", messages.back());
+  }
+  burst += SubmitFrame(6, "pipelined", Delim());
+  const uint64_t writes_before = runtime_->Stats().net_writes;
+  ASSERT_TRUE(raw.Send(burst));
+
+  std::vector<uint64_t> acks;
+  std::vector<OutcomeReply> outcomes;
+  ASSERT_TRUE(ReadReplies(
+      raw,
+      [&](const Frame& frame) {
+        if (frame.type == MsgType::kSubmitAck) {
+          auto ack = DecodeSubmitAck(frame.payload);
+          ASSERT_TRUE(ack.has_value());
+          acks.push_back(ack->request_id);
+          return;
+        }
+        ASSERT_EQ(frame.type, MsgType::kOutcome);
+        auto outcome = DecodeOutcomeReply(frame.payload);
+        ASSERT_TRUE(outcome.has_value());
+        outcomes.push_back(std::move(*outcome));
+      },
+      [&] { return acks.size() == 6 && outcomes.size() == 1; }));
+  EXPECT_EQ(acks, (std::vector<uint64_t>{1, 2, 3, 4, 5, 6}));
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].request_id, 6u);
+  EXPECT_EQ(outcomes[0].status_code, 0u);
+  ASSERT_TRUE(outcomes[0].has_output);
+  const Relation expected =
+      core::Run(sws_, LoggerDb(), rel::InputSequence(1, messages)).output;
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(outcomes[0].output, expected);
+  EXPECT_LE(runtime_->Stats().net_writes - writes_before, 2u);
+}
+
+// A client pipelining many read buffers' worth of submits while it
+// reads its replies. Together the burst's acks exceed the default soft
+// watermark, but each read chunk's acks leave with the chunk, so they
+// never queue up past it and demote the client's own submits to kLow.
+// The runtime sheds a kLow submit whenever any work is queued, so a
+// demotion would show up as a shed (and an error reply).
+TEST_F(NetServerTest, PipelinedBurstBeyondReadBufferIsNotDemoted) {
+  const size_t ack_bytes =
+      EncodeFrame(MsgType::kSubmitAck, EncodeSubmitAck({1})).size();
+  const uint64_t submits = RpcServer::Options{}.send_soft_bytes / ack_bytes + 1;
+  rt::RuntimeOptions ropts;
+  ropts.queue_capacity = static_cast<size_t>(submits);
+  ropts.shed.low_occupancy = 1e-9;  // kLow only into an empty queue
+  StartAll({}, ropts);
+  RawConn raw;
+  ASSERT_TRUE(raw.Connect(server_->port()));
+  ASSERT_TRUE(raw.SendHello());
+  std::string burst;
+  for (uint64_t id = 1; id <= submits; ++id) {
+    burst += SubmitFrame(id, "s" + std::to_string(id % 64),
+                         Msg(static_cast<int64_t>(id)));
+  }
+  ASSERT_GT(burst.size(), 16u * 64 * 1024);
+
+  std::vector<uint64_t> acks;
+  size_t other_frames = 0;
+  bool complete = false;
+  std::thread reader([&] {
+    complete = ReadReplies(
+        raw,
+        [&](const Frame& frame) {
+          auto ack = frame.type == MsgType::kSubmitAck
+                         ? DecodeSubmitAck(frame.payload)
+                         : std::nullopt;
+          if (ack) {
+            acks.push_back(ack->request_id);
+          } else {
+            ++other_frames;
+          }
+        },
+        [&] { return acks.size() + other_frames >= submits; });
+  });
+  const bool sent = raw.Send(burst);
+  reader.join();
+  ASSERT_TRUE(sent);
+  EXPECT_TRUE(complete);
+  EXPECT_EQ(other_frames, 0u);
+  ASSERT_EQ(acks.size(), submits);
+  for (uint64_t i = 0; i < submits; ++i) {
+    ASSERT_EQ(acks[i], i + 1) << "acks out of request order";
+  }
+  rt::StatsSnapshot stats = runtime_->Stats();
+  EXPECT_EQ(stats.shed_low_priority, 0u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.submitted, submits);
 }
 
 TEST_F(NetServerTest, ClientReconnectsAfterServerRestart) {

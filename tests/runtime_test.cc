@@ -1018,6 +1018,7 @@ TEST(RuntimeStatsTest, ToJsonIsStrictlyValidAndComplete) {
       {"net_conns_reaped", stats.net_conns_reaped},
       {"net_frames_rejected", stats.net_frames_rejected},
       {"net_bytes_shed", stats.net_bytes_shed},
+      {"net_writes", stats.net_writes},
       {"runs", stats.total_runs()},
   };
   for (const auto& [key, value] : expected) {
@@ -1036,7 +1037,8 @@ TEST(RuntimeStatsTest, ToJsonIsStrictlyValidAndComplete) {
         "segments_shipped=0", "follower_lag_hwm=0", "peer_suspicions=0",
         "auto_promotions=0", "epoch_fencing_rejects=0",
         "catchup_bytes_shipped=0", "net_conns_accepted=0",
-        "net_conns_reaped=0", "net_frames_rejected=0", "net_bytes_shed=0"}) {
+        "net_conns_reaped=0", "net_frames_rejected=0", "net_bytes_shed=0",
+        "net_writes=0"}) {
     EXPECT_NE(text.find(field), std::string::npos) << "missing: " << field;
   }
 }
