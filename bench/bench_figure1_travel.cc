@@ -18,6 +18,7 @@
 
 #include <random>
 
+#include "models/peer.h"
 #include "models/travel.h"
 #include "sws/execution.h"
 
@@ -139,6 +140,59 @@ void BM_Figure1EngineRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Figure1EngineRun);
+
+// The real engine on the Section 3 web-store peer through f_τ
+// (PeerToSws), the service of perfbench's `peer` workload: requested
+// catalogue items go to the cart, re-requested carted items are bought.
+// Sessions of 2..8 steps; each one is a recursive run of cheap FO rules
+// over relations of a few rows, so per-evaluation overhead dominates.
+void BM_PeerEngineRun(benchmark::State& state) {
+  using sws::logic::FoFormula;
+  using sws::logic::Term;
+  using sws::models::Peer;
+  auto v = [](int i) { return Term::Var(i); };
+  sws::rel::Schema schema;
+  schema.Add(sws::rel::RelationSchema("Item", {"id", "price"}));
+  Peer shop(schema, 1, 1, 2);
+  shop.set_state_rule(FoFormula::And(
+      FoFormula::Or(FoFormula::MakeAtom(Peer::kPeerState, {v(0)}),
+                    FoFormula::MakeAtom(Peer::kPeerInput, {v(0)})),
+      FoFormula::Exists(1, FoFormula::MakeAtom("Item", {v(0), v(1)}))));
+  shop.set_action_rule(
+      FoFormula::And({FoFormula::MakeAtom(Peer::kPeerState, {v(0)}),
+                      FoFormula::MakeAtom(Peer::kPeerInput, {v(0)}),
+                      FoFormula::MakeAtom("Item", {v(0), v(1)})}));
+  const sws::core::Sws sws = sws::models::PeerToSws(shop);
+  sws::rel::Database db;
+  sws::rel::Relation items(2);
+  items.Insert({sws::rel::Value::Int(1), sws::rel::Value::Int(10)});
+  items.Insert({sws::rel::Value::Int(2), sws::rel::Value::Int(25)});
+  db.Set("Item", items);
+  // Item 3 is not catalogued, so it never carts.
+  std::mt19937_64 rng(42);
+  std::vector<sws::rel::InputSequence> inputs;
+  for (size_t steps = 2; steps <= 8; ++steps) {
+    std::vector<sws::rel::Relation> requests;
+    for (size_t k = 0; k < steps; ++k) {
+      sws::rel::Relation request(1);
+      const uint64_t mask = 1 + rng() % 7;
+      for (int64_t item = 1; item <= 3; ++item) {
+        if (mask & (1u << (item - 1))) {
+          request.Insert({sws::rel::Value::Int(item)});
+        }
+      }
+      requests.push_back(std::move(request));
+    }
+    inputs.push_back(sws::models::EncodePeerInput(shop, requests));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sws::core::Run(sws, db, inputs[i % inputs.size()]).output.size());
+    ++i;
+  }
+}
+BENCHMARK(BM_PeerEngineRun);
 
 // Catalog-size scaling of the engine (the FO synthesis evaluates over
 // the active domain).

@@ -15,10 +15,9 @@ struct FilterArgs {
   const std::vector<Term>* args;
 };
 
-// Compile, plus the parameters and filters of PreparedJoin (see there).
+// Compile, plus the parameters and filters of CompiledJoin (see there).
 JoinProgram CompileWithFilters(const std::vector<Atom>& ordered,
                                const std::vector<Comparison>& comparisons,
-                               const rel::Database& db,
                                const std::vector<int>& params,
                                const std::vector<FilterArgs>& filters) {
   JoinProgram program;
@@ -80,17 +79,9 @@ JoinProgram CompileWithFilters(const std::vector<Atom>& ordered,
     return true;
   };
   for (const Atom& atom : ordered) {
-    const rel::Relation* relation =
-        db.Contains(atom.relation) ? &db.Get(atom.relation) : nullptr;
-    if (relation != nullptr && relation->arity() != atom.args.size()) {
-      relation = nullptr;
-    }
-    if (relation == nullptr) {  // no facts: the whole body matches nothing
-      program.never_matches = true;
-      return program;
-    }
     Level level;
-    level.relation = relation;
+    level.relation = atom.relation;
+    level.arity = static_cast<uint32_t>(atom.args.size());
     level.ops_begin = static_cast<uint32_t>(program.ops.size());
     level.keys_begin = static_cast<uint32_t>(program.keys.size());
     uint64_t mask = 0;
@@ -124,9 +115,7 @@ JoinProgram CompileWithFilters(const std::vector<Atom>& ordered,
             {Op::kCheckCol, reg, static_cast<uint32_t>(col)});
       }
     }
-    if (mask != 0) {
-      level.index = relation->GetIndex(mask);
-    }
+    level.mask = mask;
     // Attach each comparison at the first level where both sides are
     // bound; it then costs exactly one compare per candidate row.
     for (size_t ci = 0; ci < comparisons.size(); ++ci) {
@@ -280,26 +269,18 @@ Components SplitComponents(const std::vector<Atom>& body,
 }  // namespace
 
 JoinProgram Compile(const std::vector<Atom>& ordered,
-                    const std::vector<Comparison>& comparisons,
-                    const rel::Database& db) {
-  return CompileWithFilters(ordered, comparisons, db, {}, {});
+                    const std::vector<Comparison>& comparisons) {
+  return CompileWithFilters(ordered, comparisons, {}, {});
 }
 
 std::vector<Atom> OrderAtomsGreedily(const std::vector<Atom>& body,
-                                     const rel::Database& db,
                                      const std::vector<int>& params) {
   std::vector<Atom> ordered;
   std::vector<bool> used(body.size(), false);
   std::set<int> bound(params.begin(), params.end());
-  auto relation_size = [&db](const Atom& a) -> size_t {
-    if (!db.Contains(a.relation)) return 0;  // matches nothing: run it first
-    const rel::Relation& r = db.Get(a.relation);
-    return r.arity() == a.args.size() ? r.size() : 0;
-  };
   for (size_t step = 0; step < body.size(); ++step) {
     size_t best = body.size();
     int best_bound = -1;
-    size_t best_size = 0;
     for (size_t i = 0; i < body.size(); ++i) {
       if (used[i]) continue;
       int bound_args = 0;
@@ -308,12 +289,9 @@ std::vector<Atom> OrderAtomsGreedily(const std::vector<Atom>& body,
           ++bound_args;
         }
       }
-      size_t size = relation_size(body[i]);
-      if (best == body.size() || bound_args > best_bound ||
-          (bound_args == best_bound && size < best_size)) {
+      if (bound_args > best_bound) {  // strict: ties keep body order
         best = i;
         best_bound = bound_args;
-        best_size = size;
       }
     }
     used[best] = true;
@@ -325,22 +303,47 @@ std::vector<Atom> OrderAtomsGreedily(const std::vector<Atom>& body,
   return ordered;
 }
 
-bool HasMatch(const JoinProgram& p, const Inputs& in) {
+BoundProgram Bind(const JoinProgram& p, const rel::Database& db) {
+  BoundProgram b;
+  b.program = &p;
+  b.never_matches = p.comparison_failed;
+  b.levels.resize(p.levels.size());
+  for (size_t i = 0; i < p.levels.size() && !b.never_matches; ++i) {
+    auto it = db.relations().find(p.levels[i].relation);
+    if (it == db.relations().end() ||
+        it->second.arity() != p.levels[i].arity || it->second.empty()) {
+      b.never_matches = true;  // no facts: the whole body matches nothing
+    } else {
+      b.levels[i].relation = &it->second;
+    }
+  }
+  if (b.never_matches) return b;
+  for (size_t i = 0; i < p.levels.size(); ++i) {
+    if (p.levels[i].mask != 0) {
+      b.levels[i].index = b.levels[i].relation->GetIndex(p.levels[i].mask);
+    }
+  }
+  b.regs = p.reg_init;
+  b.keys = p.key_templates;
+  b.cursors.resize(p.levels.size());
+  return b;
+}
+
+bool HasMatch(BoundProgram& b, const Inputs& in, size_t first, size_t last) {
   bool found = false;
   Run(
-      p,
+      b,
       [&found](const std::vector<rel::Value>&) {
         found = true;
         return false;  // one witness suffices
       },
-      in);
+      in, first, last);
   return found;
 }
 
-PreparedJoin::PreparedJoin(const std::vector<Term>& head,
+CompiledJoin::CompiledJoin(const std::vector<Term>& head,
                            const std::vector<Atom>& atoms,
                            const std::vector<Comparison>& comparisons,
-                           const rel::Database& db,
                            const std::vector<int>& params,
                            const std::vector<std::vector<Term>>& filters)
     : arity_(head.size()) {
@@ -354,9 +357,11 @@ PreparedJoin::PreparedJoin(const std::vector<Term>& head,
   std::vector<Comparison> head_comparisons;
   std::vector<FilterArgs> head_filters;
   for (size_t i = 0; i < components.atoms.size(); ++i) {
-    std::vector<Atom> ordered =
-        OrderAtomsGreedily(components.atoms[i], db, params);
+    std::vector<Atom> ordered = OrderAtomsGreedily(components.atoms[i], params);
     if (components.touches_head[i]) {
+      if (!ordered.empty()) {
+        segments_.push_back(static_cast<uint32_t>(head_atoms.size()));
+      }
       head_atoms.insert(head_atoms.end(), ordered.begin(), ordered.end());
       head_comparisons.insert(head_comparisons.end(),
                               components.comparisons[i].begin(),
@@ -365,11 +370,10 @@ PreparedJoin::PreparedJoin(const std::vector<Term>& head,
                           components.filters[i].end());
     } else {
       existential_.push_back(CompileWithFilters(
-          ordered, components.comparisons[i], db, params,
-          components.filters[i]));
+          ordered, components.comparisons[i], params, components.filters[i]));
     }
   }
-  main_ = CompileWithFilters(head_atoms, head_comparisons, db, params,
+  main_ = CompileWithFilters(head_atoms, head_comparisons, params,
                              head_filters);
   // Resolve head terms to registers/constants once, outside the loop.
   head_parts_.reserve(head.size());
@@ -377,34 +381,74 @@ PreparedJoin::PreparedJoin(const std::vector<Term>& head,
     HeadPart part;
     if (term.is_var()) {
       auto it = main_.var_reg.find(term.var());
-      SWS_CHECK(main_.never_matches || it != main_.var_reg.end())
-          << "unsafe head variable " << term.ToString();
-      if (it != main_.var_reg.end()) part.reg = it->second;
+      if (it != main_.var_reg.end()) {
+        part.reg = it->second;
+      } else if (unsafe_head_.empty()) {
+        unsafe_head_ = term.ToString();  // reported if the body ever matches
+      }
     } else {
       part.constant = term.value();
     }
     head_parts_.push_back(std::move(part));
   }
+  // Grouped-emission detection (see Collect): head parts [0, p) are
+  // variables kLoad-ed from columns [0, p), in order, at an outermost
+  // *scan* level.
+  if (!main_.levels.empty() && main_.levels[0].mask == 0) {
+    const Level& lvl = main_.levels[0];
+    while (group_prefix_ < arity_) {
+      const HeadPart& part = head_parts_[group_prefix_];
+      bool loads_col = false;
+      for (uint32_t oi = lvl.ops_begin; oi != lvl.ops_end && !loads_col;
+           ++oi) {
+        const Op& op = main_.ops[oi];
+        loads_col = op.code == Op::kLoad && op.b == group_prefix_ &&
+                    part.reg >= 0 && op.a == part.reg;
+      }
+      if (!loads_col) break;
+      ++group_prefix_;
+    }
+  }
 }
 
-bool PreparedJoin::HasMatch(const Inputs& in) const {
+PreparedJoin::PreparedJoin(const CompiledJoin& join, const rel::Database& db)
+    : join_(&join), never_matches_(join.never_matches_) {
+  // Bind program by program, stopping at the first that cannot match:
+  // the body is one conjunction, so no index of a later one is needed.
+  for (size_t i = 0; i < join.existential_.size() && !never_matches_; ++i) {
+    existential_.push_back(Bind(join.existential_[i], db));
+    never_matches_ = existential_.back().never_matches;
+  }
+  if (never_matches_) return;
+  main_ = Bind(join.main_, db);
+  never_matches_ = main_.never_matches;
+}
+
+bool PreparedJoin::HasMatch(const Inputs& in) {
   if (never_matches_) return false;
-  for (const JoinProgram& p : existential_) {
+  for (BoundProgram& p : existential_) {
     if (!bytecode::HasMatch(p, in)) return false;
   }
-  return bytecode::HasMatch(main_, in);
+  // The head components share no variable: each needs one witness.
+  const std::vector<uint32_t>& seg = join_->segments_;
+  for (size_t i = 0; i < seg.size(); ++i) {
+    const size_t last = i + 1 < seg.size() ? seg[i + 1] : SIZE_MAX;
+    if (!bytecode::HasMatch(main_, in, seg[i], last)) return false;
+  }
+  return true;
 }
 
-rel::Relation PreparedJoin::Collect(const Inputs& in) const {
-  rel::Relation out(arity_);
-  if (never_matches_ || main_.never_matches || main_.comparison_failed) {
-    return out;
-  }
+rel::Relation PreparedJoin::Collect(const Inputs& in) {
+  const size_t arity = join_->arity_;
+  rel::Relation out(arity);
+  if (never_matches_) return out;
+  SWS_CHECK(join_->unsafe_head_.empty())
+      << "unsafe head variable " << join_->unsafe_head_;
   // Existential components (no head variable): one witness suffices.
-  for (const JoinProgram& p : existential_) {
+  for (BoundProgram& p : existential_) {
     if (!bytecode::HasMatch(p, in)) return out;
   }
-  if (arity_ == 0) {  // nullary head: {()} iff any match exists
+  if (arity == 0) {  // nullary head: {()} iff any match exists
     if (bytecode::HasMatch(main_, in)) out.Insert({});
     return out;
   }
@@ -414,36 +458,18 @@ rel::Relation PreparedJoin::Collect(const Inputs& in) const {
   // to an already-seen head row, and rows dropped here are rows the
   // final sort never has to touch. FromRowMajor then sorts + bulk
   // transposes the distinct rows (no per-match ordered insertion).
-  const size_t arity = arity_;
-  const std::vector<HeadPart>& head_parts = head_parts_;
+  const std::vector<CompiledJoin::HeadPart>& head_parts = join_->head_parts_;
 
-  // Grouped-emission detection: when head parts [0, p) are variables
-  // kLoad-ed from columns [0, p), in order, at an outermost *scan*
-  // level, the scan walks its relation in lexicographic row order, so
-  // (a) every match sharing a head prefix arrives consecutively and
-  // (b) prefix groups arrive in ascending order. Deduplication then
-  // needs only a small per-group table over the head suffix (epoch-
-  // tagged, so group changes never clear it), and the output assembles
-  // already sorted — FromRowMajor's linear sortedness check skips the
-  // final sort entirely.
-  size_t group_prefix = 0;
-  if (!main_.levels.empty() && main_.levels[0].index == nullptr) {
-    const Level& lvl = main_.levels[0];
-    while (group_prefix < arity) {
-      const HeadPart& part = head_parts[group_prefix];
-      bool loads_col = false;
-      for (uint32_t oi = lvl.ops_begin; oi != lvl.ops_end && !loads_col;
-           ++oi) {
-        const Op& op = main_.ops[oi];
-        loads_col = op.code == Op::kLoad && op.b == group_prefix &&
-                    part.reg >= 0 && op.a == part.reg;
-      }
-      if (!loads_col) break;
-      ++group_prefix;
-    }
-  }
-
-  const size_t p = group_prefix;
+  // Grouped emission: when head parts [0, p) are variables kLoad-ed from
+  // columns [0, p), in order, at an outermost *scan* level (found at
+  // compile time), the scan walks its relation in lexicographic row
+  // order, so (a) every match sharing a head prefix arrives
+  // consecutively and (b) prefix groups arrive in ascending order.
+  // Deduplication then needs only a small per-group table over the head
+  // suffix (epoch-tagged, so group changes never clear it), and the
+  // output assembles already sorted — FromRowMajor's linear sortedness
+  // check skips the final sort entirely.
+  const size_t p = join_->group_prefix_;
   const size_t sfx = arity - p;
   std::vector<rel::Value> flat;       // final row-major output rows
   std::vector<rel::Value> row(sfx);   // head-suffix scratch
@@ -451,7 +477,9 @@ rel::Relation PreparedJoin::Collect(const Inputs& in) const {
   bool have_group = false;
   bool group_inline = true;  // every suffix value has an inline order key
   std::vector<rel::Value> gflat;      // distinct suffix rows, this group
-  std::vector<uint64_t> gslots(p > 0 ? 256 : 4096, 0);
+  // Starts small: most rule evaluations emit a handful of rows, and the
+  // table doubles whenever a group's rows pass 3/4 of its slots.
+  std::vector<uint64_t> gslots(16, 0);
   size_t gmask = gslots.size() - 1;
   uint32_t epoch = 0;  // gslots entry: (epoch << 32) | suffix row index
   std::vector<uint64_t> key_scratch;   // flush: bare order keys
@@ -539,7 +567,7 @@ rel::Relation PreparedJoin::Collect(const Inputs& in) const {
         }
         if (sfx == 0) return true;
         for (size_t c = 0; c < sfx; ++c) {
-          const HeadPart& part = head_parts[p + c];
+          const CompiledJoin::HeadPart& part = head_parts[p + c];
           row[c] = part.reg >= 0 ? regs[part.reg] : part.constant;
         }
         size_t pos = row_hash(row.data()) & gmask;

@@ -129,9 +129,10 @@ bool EnumerateMatches(const std::vector<Atom>& body,
                       const std::vector<Comparison>& comparisons,
                       const rel::Database& db,
                       const std::function<bool(const Binding&)>& on_match) {
-  bytecode::JoinProgram program =
-      bytecode::Compile(bytecode::OrderAtomsGreedily(body, db), comparisons, db);
-  return bytecode::Run(program, [&](const std::vector<rel::Value>& regs) {
+  const bytecode::JoinProgram program =
+      bytecode::Compile(bytecode::OrderAtomsGreedily(body), comparisons);
+  bytecode::BoundProgram bound = bytecode::Bind(program, db);
+  return bytecode::Run(bound, [&](const std::vector<rel::Value>& regs) {
     Binding binding;
     for (const auto& [var, reg] : program.var_reg) {
       binding.emplace(var, regs[reg]);
@@ -140,8 +141,11 @@ bool EnumerateMatches(const std::vector<Atom>& body,
   });
 }
 
+// The query has mutators, so a standalone evaluation compiles per call;
+// rules compile once (sws/query.h's RelQuery holds the compiled form).
 rel::Relation ConjunctiveQuery::Evaluate(const rel::Database& db) const {
-  return bytecode::PreparedJoin(head_, body_, comparisons_, db).Collect();
+  const bytecode::CompiledJoin join(head_, body_, comparisons_);
+  return bytecode::PreparedJoin(join, db).Collect();
 }
 
 rel::Relation ConjunctiveQuery::EvaluateNaive(const rel::Database& db) const {
@@ -163,7 +167,8 @@ rel::Relation ConjunctiveQuery::EvaluateNaive(const rel::Database& db) const {
 
 bool ConjunctiveQuery::EvaluatesNonempty(const rel::Database& db) const {
   // Without a head every component is existential: each needs one witness.
-  return bytecode::PreparedJoin({}, body_, comparisons_, db).HasMatch();
+  const bytecode::CompiledJoin join({}, body_, comparisons_);
+  return bytecode::PreparedJoin(join, db).HasMatch();
 }
 
 std::set<int> ConjunctiveQuery::Vars() const {

@@ -47,7 +47,7 @@ struct Comparison {
 /// Safety: every variable in the head or in a comparison must occur in
 /// some body atom (checked by Validate()). Evaluation compiles the body
 /// onto the register bytecode (logic/bytecode.h): atoms are greedily
-/// ordered by bound-argument count (ties toward smaller relations), each
+/// ordered by bound-argument count (ties in body order), each
 /// atom probes a per-relation hash index over its bound columns
 /// (rel::Relation::GetIndex), bindings live in a flat register file, and
 /// each comparison is checked exactly once at the first point both sides

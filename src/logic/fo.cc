@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 #include "logic/bytecode.h"
 #include "util/cancellation.h"
@@ -372,6 +371,11 @@ struct FoPlan {
     /// the join runs.
     std::vector<Comparison> pre_comparisons;
     std::vector<Filter> pre_filters;
+    /// The body compiled onto the join bytecode, once, at lowering.
+    bytecode::CompiledJoin join;
+    /// Dense id among all branches of the query's plan tree: the slot of
+    /// the branch's per-evaluation binding.
+    size_t id = 0;
   };
 
   std::vector<int> params;  // variables bound by the caller, in order
@@ -433,9 +437,18 @@ class Lowering {
       FoPlan::Branch branch;
       branch.outputs = outputs;
       switch (Finalize(std::move(c), plan->params, &branch)) {
-        case Outcome::kKeep:
+        case Outcome::kKeep: {
+          std::vector<std::vector<Term>> filter_args;
+          for (const FoPlan::Filter& filter : branch.filters) {
+            filter_args.push_back(filter.args);
+          }
+          branch.join = bytecode::CompiledJoin(
+              branch.outputs, branch.atoms, branch.comparisons, plan->params,
+              filter_args);
+          branch.id = num_branches_++;
           plan->branches.push_back(std::move(branch));
           break;
+        }
         case Outcome::kUnsatisfiable:
           break;
         case Outcome::kNotRangeRestricted:
@@ -444,6 +457,10 @@ class Lowering {
     }
     return plan;
   }
+
+  /// Branches compiled so far, across every plan this lowering built
+  /// (ids are dense in [0, num_branches())).
+  size_t num_branches() const { return num_branches_; }
 
  private:
   enum class Outcome { kKeep, kUnsatisfiable, kNotRangeRestricted };
@@ -653,23 +670,25 @@ class Lowering {
   }
 
   int next_var_ = 0;
+  size_t num_branches_ = 0;
 };
 
-/// Runs lowered plans against one database. Each branch's body is
-/// compiled (relations and indexes bound) on first use and reused for
-/// every later call — a filter's plan runs once per candidate row.
+/// Runs lowered plans against one database for one evaluation. Each
+/// branch's compiled join is bound (relations and indexes looked up) on
+/// first use and reused for every later call — a filter's plan runs once
+/// per candidate row.
 class FoExecutor {
  public:
-  explicit FoExecutor(const rel::Database& db) : db_(db) {}
+  FoExecutor(const rel::Database& db, size_t num_branches)
+      : db_(db), branches_(num_branches) {}
 
   /// True iff some branch of `plan` matches with its parameters bound to
   /// `params`; stops at the first match.
-  bool HasMatch(const FoPlan& plan, const std::vector<rel::Value>& params) {
-    for (size_t i = 0; i < plan.branches.size(); ++i) {
-      const FoPlan::Branch& branch = plan.branches[i];
+  bool HasMatch(const FoPlan& plan, const rel::Value* params) {
+    for (const FoPlan::Branch& branch : plan.branches) {
       if (!PreconditionsHold(plan, branch, params)) continue;
       const bytecode::FilterFn filter = Filter(branch);
-      if (Join(plan, i).HasMatch({params.data(), &filter})) return true;
+      if (Join(branch).HasMatch({params, &filter})) return true;
     }
     return false;
   }
@@ -677,31 +696,40 @@ class FoExecutor {
   /// The union of the (parameterless) plan's branch outputs.
   rel::Relation Collect(const FoPlan& plan, size_t arity) {
     rel::Relation out(arity);
-    for (size_t i = 0; i < plan.branches.size(); ++i) {
-      const FoPlan::Branch& branch = plan.branches[i];
-      if (!PreconditionsHold(plan, branch, {})) continue;
+    for (const FoPlan::Branch& branch : plan.branches) {
+      if (!PreconditionsHold(plan, branch, nullptr)) continue;
       const bytecode::FilterFn filter = Filter(branch);
-      rel::Relation rows = Join(plan, i).Collect({nullptr, &filter});
+      rel::Relation rows = Join(branch).Collect({nullptr, &filter});
       out = out.empty() ? std::move(rows) : out.Union(rows);
     }
     return out;
   }
 
  private:
+  /// A branch's per-evaluation state. A plan is a tree and a branch's
+  /// filters run sub-plans of other branches, so no branch is ever
+  /// entered while it is running: one binding and one argument buffer
+  /// per branch serve every call.
+  struct BranchState {
+    std::optional<bytecode::PreparedJoin> join;
+    std::vector<rel::Value> args;  // a filter's parameter values
+  };
+
   bool PreconditionsHold(const FoPlan& plan, const FoPlan::Branch& branch,
-                         const std::vector<rel::Value>& params) {
+                         const rel::Value* params) {
     auto value = [&](const Term& t) {
       if (t.is_const()) return t.value();
       auto it = std::find(plan.params.begin(), plan.params.end(), t.var());
-      return params[static_cast<size_t>(it - plan.params.begin())];
+      return params[it - plan.params.begin()];
     };
     for (const Comparison& cmp : branch.pre_comparisons) {
       if ((value(cmp.lhs) == value(cmp.rhs)) != cmp.is_equality) return false;
     }
+    std::vector<rel::Value>& args = branches_[branch.id].args;
     for (const FoPlan::Filter& filter : branch.pre_filters) {
-      std::vector<rel::Value> args;
+      args.clear();
       for (const Term& t : filter.args) args.push_back(value(t));
-      if (HasMatch(*filter.sub, args) == filter.negated) return false;
+      if (HasMatch(*filter.sub, args.data()) == filter.negated) return false;
     }
     return true;
   }
@@ -710,32 +738,21 @@ class FoExecutor {
     return [this, &branch](const bytecode::FilterRef& ref,
                            const std::vector<rel::Value>& regs) {
       const FoPlan::Filter& filter = branch.filters[ref.id];
-      std::vector<rel::Value> args;
-      args.reserve(ref.regs.size());
+      std::vector<rel::Value>& args = branches_[branch.id].args;
+      args.clear();
       for (uint16_t reg : ref.regs) args.push_back(regs[reg]);
-      return HasMatch(*filter.sub, args) != filter.negated;
+      return HasMatch(*filter.sub, args.data()) != filter.negated;
     };
   }
 
-  const bytecode::PreparedJoin& Join(const FoPlan& plan, size_t i) {
-    auto& joins = prepared_[&plan];
-    if (joins.empty()) joins.resize(plan.branches.size());
-    if (joins[i] == nullptr) {
-      const FoPlan::Branch& b = plan.branches[i];
-      std::vector<std::vector<Term>> filter_args;
-      for (const FoPlan::Filter& filter : b.filters) {
-        filter_args.push_back(filter.args);
-      }
-      joins[i] = std::make_unique<bytecode::PreparedJoin>(
-          b.outputs, b.atoms, b.comparisons, db_, plan.params, filter_args);
-    }
-    return *joins[i];
+  bytecode::PreparedJoin& Join(const FoPlan::Branch& branch) {
+    std::optional<bytecode::PreparedJoin>& join = branches_[branch.id].join;
+    if (!join.has_value()) join.emplace(branch.join, db_);
+    return *join;
   }
 
   const rel::Database& db_;
-  std::unordered_map<const FoPlan*,
-                     std::vector<std::unique_ptr<bytecode::PreparedJoin>>>
-      prepared_;
+  std::vector<BranchState> branches_;  // by FoPlan::Branch::id
 };
 
 }  // namespace
@@ -750,17 +767,19 @@ FoQuery::FoQuery(std::vector<Term> head, FoFormula formula)
       head_vars.push_back(t.var());
     }
   }
-  plan_ = Lowering().Plan(formula_, head_vars, &head_);
+  Lowering lowering;
+  plan_ = lowering.Plan(formula_, head_vars, &head_);
+  num_branches_ = lowering.num_branches();
 }
 
 rel::Relation FoQuery::Evaluate(const rel::Database& db) const {
   if (plan_ == nullptr) return EvaluateNaive(db);
-  return FoExecutor(db).Collect(*plan_, head_.size());
+  return FoExecutor(db, num_branches_).Collect(*plan_, head_.size());
 }
 
 bool FoQuery::EvaluatesNonempty(const rel::Database& db) const {
   if (plan_ == nullptr) return !EvaluateNaive(db).empty();
-  return FoExecutor(db).HasMatch(*plan_, {});
+  return FoExecutor(db, num_branches_).HasMatch(*plan_, nullptr);
 }
 
 std::optional<std::string> FoQuery::Validate() const {

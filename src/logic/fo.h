@@ -113,7 +113,9 @@ struct FoPlan;
 /// query (Abiteboul–Hull–Vianu, Foundations of Databases, ch. 5) is
 /// domain-independent, so it is lowered once, at construction, into a
 /// union of conjunctive bodies that run on the join bytecode (Codd's
-/// theorem made operational; DESIGN.md §12). Every other query runs on
+/// theorem made operational; DESIGN.md §12). Each body, filters' bodies
+/// included, is compiled then too; an evaluation only binds them to its
+/// database, so one query may be evaluated from many threads at once. Every other query runs on
 /// the active-domain interpreter, which is also the differential oracle.
 class FoQuery {
  public:
@@ -156,6 +158,7 @@ class FoQuery {
   std::vector<Term> head_;
   FoFormula formula_;
   std::shared_ptr<const FoPlan> plan_;  // null: interpret
+  size_t num_branches_ = 0;  // branches in plan_'s tree, filters included
 };
 
 /// Result of a bounded-model satisfiability search.

@@ -1,8 +1,31 @@
 #include "sws/query.h"
 
+#include "logic/bytecode.h"
 #include "util/common.h"
 
 namespace sws::core {
+
+namespace {
+
+std::shared_ptr<const std::vector<logic::bytecode::CompiledJoin>> CompileAll(
+    const std::vector<logic::ConjunctiveQuery>& cqs) {
+  auto joins = std::make_shared<std::vector<logic::bytecode::CompiledJoin>>();
+  joins->reserve(cqs.size());
+  for (const logic::ConjunctiveQuery& q : cqs) {
+    joins->emplace_back(q.head(), q.body(), q.comparisons());
+  }
+  return joins;
+}
+
+}  // namespace
+
+RelQuery::RelQuery() : RelQuery(logic::ConjunctiveQuery()) {}
+
+RelQuery::RelQuery(logic::ConjunctiveQuery q)
+    : query_(std::move(q)), joins_(CompileAll({cq()})) {}
+
+RelQuery::RelQuery(logic::UnionQuery q)
+    : query_(std::move(q)), joins_(CompileAll(ucq().disjuncts())) {}
 
 std::string ActRelation(size_t successor_index_1based) {
   SWS_CHECK_GE(successor_index_1based, 1u);
@@ -133,25 +156,20 @@ std::optional<std::string> RelQuery::Validate() const {
 }
 
 rel::Relation RelQuery::Evaluate(const rel::Database& env) const {
-  switch (language()) {
-    case Language::kCq:
-      return cq().Evaluate(env);
-    case Language::kUcq:
-      return ucq().Evaluate(env);
-    case Language::kFo:
-      return fo().Evaluate(env);
+  if (is_fo()) return fo().Evaluate(env);
+  // A CQ, or a UCQ's union of disjuncts.
+  rel::Relation out(head_arity());
+  for (const logic::bytecode::CompiledJoin& join : *joins_) {
+    rel::Relation rows = logic::bytecode::PreparedJoin(join, env).Collect();
+    out = out.empty() ? std::move(rows) : out.Union(rows);
   }
-  return rel::Relation(0);
+  return out;
 }
 
 bool RelQuery::EvaluatesNonempty(const rel::Database& env) const {
-  switch (language()) {
-    case Language::kCq:
-      return cq().EvaluatesNonempty(env);
-    case Language::kUcq:
-      return ucq().EvaluatesNonempty(env);
-    case Language::kFo:
-      return fo().EvaluatesNonempty(env);
+  if (is_fo()) return fo().EvaluatesNonempty(env);
+  for (const logic::bytecode::CompiledJoin& join : *joins_) {
+    if (logic::bytecode::PreparedJoin(join, env).HasMatch()) return true;
   }
   return false;
 }

@@ -1,14 +1,20 @@
 #ifndef SWS_SWS_QUERY_H_
 #define SWS_SWS_QUERY_H_
 
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "logic/cq.h"
 #include "logic/fo.h"
 #include "logic/ucq.h"
+
+namespace sws::logic::bytecode {
+class CompiledJoin;
+}  // namespace sws::logic::bytecode
 
 namespace sws::core {
 
@@ -31,7 +37,7 @@ class RelQuery {
  public:
   enum class Language { kCq, kUcq, kFo };
 
-  RelQuery() : query_(logic::ConjunctiveQuery()) {}
+  RelQuery();
 
   static RelQuery Cq(logic::ConjunctiveQuery q) { return RelQuery(std::move(q)); }
   static RelQuery Ucq(logic::UnionQuery q) { return RelQuery(std::move(q)); }
@@ -65,12 +71,16 @@ class RelQuery {
   std::string ToString() const;
 
  private:
-  explicit RelQuery(logic::ConjunctiveQuery q) : query_(std::move(q)) {}
-  explicit RelQuery(logic::UnionQuery q) : query_(std::move(q)) {}
+  explicit RelQuery(logic::ConjunctiveQuery q);
+  explicit RelQuery(logic::UnionQuery q);
   explicit RelQuery(logic::FoQuery q) : query_(std::move(q)) {}
 
   std::variant<logic::ConjunctiveQuery, logic::UnionQuery, logic::FoQuery>
       query_;
+  /// The CQ's body, or each UCQ disjunct's, compiled once at construction
+  /// (an FoQuery compiles its own); immutable and shared by copies, so
+  /// every evaluation only binds it to its environment.
+  std::shared_ptr<const std::vector<logic::bytecode::CompiledJoin>> joins_;
 };
 
 }  // namespace sws::core

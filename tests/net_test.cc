@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -725,27 +726,39 @@ TEST_F(NetServerTest, PipelinedSessionCoalescesReplyWrites) {
 
 // A client pipelining many read buffers' worth of submits while it
 // reads its replies. Together the burst's acks exceed the default soft
-// watermark, but each read chunk's acks leave with the chunk, so they
-// never queue up past it and demote the client's own submits to kLow.
-// The runtime sheds a kLow submit whenever any work is queued, so a
-// demotion would show up as a shed (and an error reply).
+// watermark many times over, but each read chunk's acks leave with the
+// chunk, so they never queue up past one chunk's worth and demote the
+// client's own submits to kLow. The server's soft watermark sits just
+// above one 64 KiB read chunk's acks: two chunks' acks staged together
+// cross it, which a server that flushes only at EAGAIN does as soon as
+// the kernel holds two chunks of unread submits. The runtime sheds a
+// kLow submit whenever any work is queued, so a demotion would show up
+// as a shed (and an error reply).
 TEST_F(NetServerTest, PipelinedBurstBeyondReadBufferIsNotDemoted) {
   const size_t ack_bytes =
       EncodeFrame(MsgType::kSubmitAck, EncodeSubmitAck({1})).size();
   const uint64_t submits = RpcServer::Options{}.send_soft_bytes / ack_bytes + 1;
+  std::string burst;
+  size_t smallest_submit = SIZE_MAX;
+  for (uint64_t id = 1; id <= submits; ++id) {
+    std::string frame = SubmitFrame(id, "s" + std::to_string(id % 64),
+                                    Msg(static_cast<int64_t>(id)));
+    smallest_submit = std::min(smallest_submit, frame.size());
+    burst += frame;
+  }
+  ASSERT_GT(burst.size(), 16u * 64 * 1024);
+  // A read chunk ends mid-frame at worst, so it completes at most this
+  // many submits.
+  const size_t chunk_acks = 64 * 1024 / smallest_submit + 1;
+  RpcServer::Options sopts;
+  sopts.send_soft_bytes = (chunk_acks + 1) * ack_bytes;
   rt::RuntimeOptions ropts;
   ropts.queue_capacity = static_cast<size_t>(submits);
   ropts.shed.low_occupancy = 1e-9;  // kLow only into an empty queue
-  StartAll({}, ropts);
+  StartAll(sopts, ropts);
   RawConn raw;
   ASSERT_TRUE(raw.Connect(server_->port()));
   ASSERT_TRUE(raw.SendHello());
-  std::string burst;
-  for (uint64_t id = 1; id <= submits; ++id) {
-    burst += SubmitFrame(id, "s" + std::to_string(id % 64),
-                         Msg(static_cast<int64_t>(id)));
-  }
-  ASSERT_GT(burst.size(), 16u * 64 * 1024);
 
   std::vector<uint64_t> acks;
   size_t other_frames = 0;

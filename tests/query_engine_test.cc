@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
 #include <random>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "logic/cq.h"
@@ -330,15 +333,7 @@ class FoFuzzer {
     next_var_ = 10;
     for (int r = 0; r < kRelations; ++r) {
       arity_[r] = static_cast<size_t>(Int(0, 5) == 0 ? 0 : Int(1, 2));
-      switch (Int(0, 7)) {
-        case 0:
-          break;  // absent: a positive atom is false, its negation true
-        case 1:  // wrong arity: likewise
-          out.db.Set(Name(r), RandomRelation(arity_[r] + 1));
-          break;
-        default:
-          out.db.Set(Name(r), RandomRelation(arity_[r]));
-      }
+      SetRandomRelation(r, &out.db);
     }
     if (Int(0, 3) == 0) {  // values only the interpreter's domain sees
       out.db.Set("Other", RandomRelation(1));
@@ -360,8 +355,28 @@ class FoFuzzer {
     return out;
   }
 
+  // Another database for the last query's relations, drawn the same way.
+  Database NextDatabase() {
+    Database db;
+    for (int r = 0; r < kRelations; ++r) SetRandomRelation(r, &db);
+    if (Int(0, 3) == 0) db.Set("Other", RandomRelation(1));
+    return db;
+  }
+
  private:
   static constexpr int kRelations = 3;
+
+  void SetRandomRelation(int r, Database* db) {
+    switch (Int(0, 7)) {
+      case 0:
+        break;  // absent: a positive atom is false, its negation true
+      case 1:  // wrong arity: likewise
+        db->Set(Name(r), RandomRelation(arity_[r] + 1));
+        break;
+      default:
+        db->Set(Name(r), RandomRelation(arity_[r]));
+    }
+  }
 
   static std::string Name(int r) { return "R" + std::to_string(r); }
 
@@ -646,6 +661,267 @@ TEST(QueryEngineTest, CompiledFoEdgeCases) {
         1);
 }
 
+// ---------------------------------------------------------------------------
+// One compiled query, many databases: a rule is compiled once and bound
+// per evaluation, so nothing of one database may leak into the next.
+// ---------------------------------------------------------------------------
+
+// ans(x, z) :- R(x, y), T(y, z), y != 3 and friends, as rules (compiled
+// once, in RelQuery) with their reference evaluations.
+struct ScriptedRule {
+  core::RelQuery rule;
+  std::function<Relation(const Database&)> naive;
+};
+
+std::vector<ScriptedRule> ScriptedRules() {
+  auto v = [](int i) { return Term::Var(i); };
+  auto atom = [](const std::string& r, std::vector<Term> args) {
+    return FoFormula::MakeAtom(r, std::move(args));
+  };
+  std::vector<ScriptedRule> out;
+  auto add_cq = [&out](ConjunctiveQuery q) {
+    out.push_back({core::RelQuery::Cq(q),
+                   [q](const Database& db) { return q.EvaluateNaive(db); }});
+  };
+  auto add_fo = [&out](FoQuery q) {
+    EXPECT_TRUE(q.compiled()) << q.ToString();
+    out.push_back({core::RelQuery::Fo(q),
+                   [q](const Database& db) { return q.EvaluateNaive(db); }});
+  };
+  // A two-atom join whose greedy order used to follow relation sizes.
+  add_cq(ConjunctiveQuery({v(0), v(2)},
+                          {Atom{"R", {v(0), v(1)}}, Atom{"T", {v(1), v(2)}}},
+                          {Comparison{v(1), Term::Int(3), false}}));
+  // Constant probe key; nullary head over two components.
+  add_cq(ConjunctiveQuery({v(1)}, {Atom{"R", {Term::Int(1), v(1)}},
+                                   Atom{"S", {v(1)}}}));
+  add_cq(ConjunctiveQuery({}, {Atom{"R", {v(0), v(1)}}, Atom{"S", {v(2)}}}));
+  // Two head components joined in one program, a constant head term.
+  add_cq(ConjunctiveQuery({v(0), Term::Int(9), v(2)},
+                          {Atom{"S", {v(0)}}, Atom{"T", {v(2), v(2)}}}));
+  // A UCQ: R's sources, and S's values other than 2.
+  logic::UnionQuery ucq(1);
+  ucq.Add(ConjunctiveQuery({v(0)}, {Atom{"R", {v(0), v(1)}}}));
+  ucq.Add(ConjunctiveQuery({v(0)}, {Atom{"S", {v(0)}}},
+                           {Comparison{v(0), Term::Int(2), false}}));
+  out.push_back({core::RelQuery::Ucq(ucq), [ucq](const Database& db) {
+                   Relation rows(1);
+                   for (const auto& d : ucq.disjuncts()) {
+                     rows = rows.Union(d.EvaluateNaive(db));
+                   }
+                   return rows;
+                 }});
+  // FO: an anti-join filter, a closed guard, a guarded ∀ with a nullary
+  // head, and a filter over a parameter only the context binds.
+  add_fo(FoQuery({v(0)}, FoFormula::Exists(
+                             1, FoFormula::And(atom("R", {v(0), v(1)}),
+                                               FoFormula::Not(atom("S", {v(1)}))))));
+  add_fo(FoQuery({v(0)},
+                 FoFormula::And(atom("S", {v(0)}),
+                                FoFormula::Exists(2, atom("T", {v(2), v(2)})))));
+  add_fo(FoQuery(
+      {}, FoFormula::Exists(
+              0, FoFormula::And(atom("S", {v(0)}),
+                                FoFormula::Forall(1, FoFormula::Implies(
+                                                         atom("R", {v(0), v(1)}),
+                                                         atom("S", {v(1)})))))));
+  add_fo(FoQuery(
+      {v(0), v(1)},
+      FoFormula::And(atom("T", {v(0), v(1)}),
+                     FoFormula::Not(FoFormula::Exists(
+                         2, FoFormula::And(atom("R", {v(2), v(0)}),
+                                           FoFormula::Neq(v(2), v(1))))))));
+  return out;
+}
+
+Relation Rows(size_t arity, std::vector<std::vector<int64_t>> rows) {
+  Relation r(arity);
+  for (const auto& row : rows) {
+    Tuple t;
+    for (int64_t x : row) t.push_back(Value::Int(x));
+    r.Insert(std::move(t));
+  }
+  return r;
+}
+
+TEST(QueryEngineTest, OneCompiledQueryManyDatabases) {
+  const std::vector<ScriptedRule> rules = ScriptedRules();
+  ASSERT_EQ(rules.size(), 9u);
+  Relation big_r(2), big_t(2);
+  for (int64_t i = 0; i < 40; ++i) {
+    big_r.Insert({Value::Int(i % 5), Value::Int(i % 7)});
+    big_t.Insert({Value::Int(i % 7), Value::Int(i % 4)});
+  }
+  const Relation small_r = Rows(2, {{1, 2}, {2, 2}, {4, 3}});
+  const Relation small_t = Rows(2, {{2, 2}, {3, 1}});
+  const Relation s = Rows(1, {{1}, {2}, {4}});
+
+  // Each step rewrites the database the previous step left.
+  std::vector<std::pair<std::string, std::function<void(Database*)>>> steps = {
+      {"R and T absent", [&](Database* db) { db->Set("S", s); }},
+      {"R and T present", [&](Database* db) {
+         db->Set("R", small_r);
+         db->Set("T", small_t);
+       }},
+      {"R of the wrong arity",
+       [&](Database* db) { db->Set("R", Rows(3, {{1, 2, 0}, {2, 2, 0}})); }},
+      {"R empty", [&](Database* db) { db->Set("R", Relation(2)); }},
+      {"R large, T small", [&](Database* db) {
+         db->Set("R", big_r);
+         db->Set("T", small_t);
+       }},
+      {"R small, T large", [&](Database* db) {
+         db->Set("R", small_r);
+         db->Set("T", big_t);
+       }},
+      {"S empty, one index per relation", [&](Database* db) {
+         db->Set("S", Relation(1));
+         db->SetIndexBudget(rel::IndexBudget{0, 1});
+         db->Set("R", big_r);
+       }},
+      {"index caches dropped", [&](Database* db) {
+         db->Set("S", s);
+         db->DropIndexCaches();
+       }},
+      {"T of the wrong arity, caches dropped", [&](Database* db) {
+         db->Set("T", Rows(1, {{2}, {3}}));
+         db->DropIndexCaches();
+       }},
+      {"everything back", [&](Database* db) {
+         db->Set("R", small_r);
+         db->Set("T", small_t);
+         db->DropIndexCaches();
+       }},
+  };
+  Database db;
+  for (const auto& [name, apply] : steps) {
+    apply(&db);
+    for (size_t q = 0; q < rules.size(); ++q) {
+      // Twice per database: the second run meets the indexes the first
+      // built (or, under the budget, the ones it evicted).
+      for (int pass = 0; pass < 2; ++pass) {
+        const Relation naive = rules[q].naive(db);
+        ASSERT_EQ(rules[q].rule.Evaluate(db), naive)
+            << name << ", rule " << q << ": " << rules[q].rule.ToString()
+            << "\nover\n"
+            << db.ToString();
+        ASSERT_EQ(rules[q].rule.EvaluatesNonempty(db), !naive.empty())
+            << name << ", rule " << q << ": " << rules[q].rule.ToString();
+      }
+    }
+  }
+}
+
+TEST(QueryEngineTest, OneCompiledFoQueryManyRandomDatabases) {
+  FoFuzzer fuzzer(20261020);
+  for (int i = 0; i < 400; ++i) {
+    RandomFo c = fuzzer.Next();
+    for (int d = 0; d < 6; ++d) {
+      Database db = d == 0 ? c.db : fuzzer.NextDatabase();
+      if (d % 3 == 1) db.SetIndexBudget(rel::IndexBudget{0, 1});
+      const Relation naive = c.query.EvaluateNaive(db);
+      ASSERT_EQ(c.query.Evaluate(db), naive)
+          << "case " << i << ", database " << d << ": " << c.query.ToString()
+          << "\nover\n"
+          << db.ToString();
+      if (d % 2 == 1) db.DropIndexCaches();
+      ASSERT_EQ(c.query.EvaluatesNonempty(db), !naive.empty())
+          << "case " << i << ", database " << d << ": " << c.query.ToString();
+    }
+  }
+}
+
+// The Section 3 web-store peer: requested catalogue items go to the cart
+// (state); re-requesting a carted item purchases it (action).
+models::Peer ShopPeer() {
+  auto v = [](int i) { return Term::Var(i); };
+  rel::Schema schema;
+  schema.Add(rel::RelationSchema("Item", {"id", "price"}));
+  models::Peer shop(schema, 1, 1, 2);
+  shop.set_state_rule(FoFormula::And(
+      FoFormula::Or(FoFormula::MakeAtom(models::Peer::kPeerState, {v(0)}),
+                    FoFormula::MakeAtom(models::Peer::kPeerInput, {v(0)})),
+      FoFormula::Exists(1, FoFormula::MakeAtom("Item", {v(0), v(1)}))));
+  shop.set_action_rule(FoFormula::And(
+      {FoFormula::MakeAtom(models::Peer::kPeerState, {v(0)}),
+       FoFormula::MakeAtom(models::Peer::kPeerInput, {v(0)}),
+       FoFormula::MakeAtom("Item", {v(0), v(1)})}));
+  return shop;
+}
+
+TEST(QueryEngineTest, SharedCompiledRulesEvaluateConcurrently) {
+  // One service object, its rules compiled once, run by four threads at
+  // once on private database copies: every run must equal the
+  // single-threaded one. (Under TSan this checks that evaluation only
+  // reads the compiled forms.)
+  struct Service {
+    core::Sws sws;
+    Database db;
+    std::vector<rel::InputSequence> inputs;
+    std::vector<Relation> expected;
+  };
+  std::vector<Service> services;
+  {
+    const models::Peer shop = ShopPeer();
+    Service peer{models::PeerToSws(shop), Database(), {}, {}};
+    peer.db.Set("Item", Rows(2, {{1, 10}, {2, 25}}));
+    std::mt19937_64 rng(7);
+    for (size_t steps = 2; steps <= 8; ++steps) {
+      std::vector<Relation> requests;
+      for (size_t k = 0; k < steps; ++k) {
+        const uint64_t mask = 1 + rng() % 7;
+        Relation request(1);
+        for (int64_t item = 1; item <= 3; ++item) {
+          if (mask & (1u << (item - 1))) request.Insert({Value::Int(item)});
+        }
+        requests.push_back(std::move(request));
+      }
+      peer.inputs.push_back(models::EncodePeerInput(shop, requests));
+    }
+    services.push_back(std::move(peer));
+  }
+  {
+    Service travel{models::MakeTravelService().sws,
+                   models::MakeTravelDatabase(), {}, {}};
+    for (const char* dest : {"orlando", "paris", "tokyo"}) {
+      rel::InputSequence input(travel.sws.rin_arity());
+      input.Append(models::MakeTravelRequest(dest, 1000));
+      travel.inputs.push_back(std::move(input));
+    }
+    services.push_back(std::move(travel));
+  }
+  for (Service& s : services) {
+    for (const rel::InputSequence& input : s.inputs) {
+      core::RunResult run = core::Run(s.sws, s.db, input);
+      ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+      s.expected.push_back(std::move(run.output));
+    }
+  }
+  ASSERT_FALSE(services[0].expected.back().empty());
+  ASSERT_FALSE(services[1].expected.front().empty());
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&services, &mismatches, t] {
+      for (int round = 0; round < 5; ++round) {
+        for (const Service& s : services) {
+          Database mine = s.db;  // private: runs may build its indexes
+          for (size_t i = 0; i < s.inputs.size(); ++i) {
+            const size_t k = (i + static_cast<size_t>(t)) % s.inputs.size();
+            core::RunResult run = core::Run(s.sws, mine, s.inputs[k]);
+            if (!run.status.ok() || !(run.output == s.expected[k])) {
+              mismatches.fetch_add(1);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 // Every FO query of a service, transitions and syntheses.
 std::vector<logic::FoQuery> FoQueriesOf(const core::Sws& sws) {
   std::vector<logic::FoQuery> out;
@@ -668,20 +944,8 @@ TEST(QueryEngineTest, PaperServicesTakeTheCompiledPath) {
   }
   // Section 3: every rule of the peer embedding.
   {
-    auto v = [](int i) { return Term::Var(i); };
-    rel::Schema schema;
-    schema.Add(rel::RelationSchema("Item", {"id", "price"}));
-    models::Peer shop(schema, 1, 1, 2);
-    shop.set_state_rule(FoFormula::And(
-        FoFormula::Or(FoFormula::MakeAtom(models::Peer::kPeerState, {v(0)}),
-                      FoFormula::MakeAtom(models::Peer::kPeerInput, {v(0)})),
-        FoFormula::Exists(1, FoFormula::MakeAtom("Item", {v(0), v(1)}))));
-    shop.set_action_rule(FoFormula::And(
-        {FoFormula::MakeAtom(models::Peer::kPeerState, {v(0)}),
-         FoFormula::MakeAtom(models::Peer::kPeerInput, {v(0)}),
-         FoFormula::MakeAtom("Item", {v(0), v(1)})}));
     std::vector<logic::FoQuery> queries =
-        FoQueriesOf(models::PeerToSws(shop));
+        FoQueriesOf(models::PeerToSws(ShopPeer()));
     ASSERT_EQ(queries.size(), 7u);
     for (const auto& q : queries) EXPECT_TRUE(q.compiled()) << q.ToString();
   }
